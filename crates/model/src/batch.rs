@@ -15,7 +15,7 @@ use crate::spec::ModelSpec;
 use serde::{Deserialize, Serialize};
 
 /// One request's contribution to a batch iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Eq, Serialize, Deserialize)]
 pub struct RequestSlice {
     /// Opaque request identifier (for metrics attribution).
     pub request_id: u64,
@@ -26,6 +26,22 @@ pub struct RequestSlice {
     pub cached_tokens: u64,
     /// Whether this slice is part of the prefill phase.
     pub is_prefill: bool,
+    /// Where the scheduler that formed the batch keeps this request: a
+    /// replica-local handle it stamps so completion finds the request
+    /// without a lookup by id (`u32::MAX` on slices built elsewhere). A
+    /// locator, not part of the slice's identity: equality and
+    /// serialization ignore it.
+    #[serde(skip)]
+    pub slot: u32,
+}
+
+impl PartialEq for RequestSlice {
+    fn eq(&self, other: &Self) -> bool {
+        self.request_id == other.request_id
+            && self.query_tokens == other.query_tokens
+            && self.cached_tokens == other.cached_tokens
+            && self.is_prefill == other.is_prefill
+    }
 }
 
 impl RequestSlice {
@@ -38,6 +54,7 @@ impl RequestSlice {
             query_tokens,
             cached_tokens,
             is_prefill: true,
+            slot: u32::MAX,
         }
     }
 
@@ -48,7 +65,15 @@ impl RequestSlice {
             query_tokens: 1,
             cached_tokens,
             is_prefill: false,
+            slot: u32::MAX,
         }
+    }
+
+    /// Stamps the forming scheduler's handle for this request (see
+    /// [`RequestSlice::slot`]).
+    pub fn in_slot(mut self, slot: u32) -> Self {
+        self.slot = slot;
+        self
     }
 
     /// KV tokens this slice reads during attention.

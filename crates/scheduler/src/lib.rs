@@ -43,5 +43,5 @@ pub use router::{
     DeferredEntry, ReplicaHealth, ReplicaLoad, RouteRequest, Router, RouterView, RoutingTier,
     TenantRouting,
 };
-pub use slab::IdSlab;
+pub use slab::{IdSlab, Slot, SlotSlab};
 pub use stage::PipelineTracker;

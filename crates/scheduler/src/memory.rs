@@ -5,6 +5,11 @@
 //! `ceil(cached_tokens / block_size)` blocks. The manager enforces a
 //! watermark: admissions must leave a configurable fraction of blocks free
 //! so in-flight decodes can grow without immediate preemption.
+//!
+//! Requests are named by a caller-chosen dense key (`id` below). The
+//! replica scheduler passes its recycled request slots, so the manager's
+//! per-request tables stay sized by the peak number of live requests; the
+//! reference scheduler oracle and the tests pass small trace ids.
 
 use crate::request::{RequestId, NO_PREFIX};
 use serde::{Deserialize, Serialize};
@@ -45,11 +50,12 @@ pub struct BlockManager {
     total_blocks: u64,
     block_size: u32,
     watermark_blocks: u64,
-    /// Blocks held per request, indexed densely by request id (0 = not a
-    /// holder; a holder always owns ≥ 1 block since requests are non-empty).
-    /// Request ids are dense trace indices, so this trades a bounded id-range
-    /// vector for allocation-free reserve/grow/release on the per-batch hot
-    /// path (the seed's `BTreeMap` allocated a node per admission).
+    /// Blocks held per request, indexed by the caller's dense request key
+    /// (0 = not a holder; a holder always owns ≥ 1 block since requests are
+    /// non-empty). With recycled slots as keys this is a vector of peak-live
+    /// length, and reserve/grow/release on the per-batch hot path index it
+    /// without hashing or allocating (the seed's `BTreeMap` allocated a node
+    /// per admission).
     held: Vec<u64>,
     holders: usize,
     used_blocks: u64,
@@ -63,7 +69,7 @@ pub struct BlockManager {
     /// LRU clock for [`PrefixEntry::lru`].
     prefix_lru_seq: u64,
     /// Per-request borrowed entry key (`NO_PREFIX` = not borrowing),
-    /// id-indexed like `held`. Tracks which entry [`release`](Self::release)
+    /// keyed like `held`. Tracks which entry [`release`](Self::release)
     /// must dereference, exactly once.
     borrow: Vec<u64>,
 }
@@ -310,6 +316,13 @@ impl BlockManager {
     /// Number of requests currently holding blocks.
     pub fn num_holders(&self) -> usize {
         self.holders
+    }
+
+    /// Length of the per-request tables: one past the largest request key
+    /// ever reserved for (the peak live count when keys are recycled
+    /// slots).
+    pub fn slot_capacity(&self) -> usize {
+        self.held.len().max(self.borrow.len())
     }
 
     /// Expected prefix-cache hit, in tokens, for a request carrying prefix

@@ -24,18 +24,29 @@
 //!   `running` vector exactly (the differential proptest in
 //!   `tests/formation_equivalence.rs` pins this). Admit, finish and preempt
 //!   are O(1) unlinks instead of `retain`/`rposition` scans.
-//! * Per-call id snapshots go through one reusable scratch buffer; batch
+//! * Per-call slot snapshots go through one reusable scratch buffer; batch
 //!   slice vectors are pooled and round-trip through
 //!   [`ReplicaScheduler::recycle_batch`].
 //! * LightLLM's projected-KV admission bound is a counter maintained on
 //!   admit/finish/preempt instead of a per-call re-sum over the running set.
+//! * Requests live in a [`SlotSlab`] under replica-local handles that are
+//!   recycled on finish, and the block manager is keyed by the same handles.
+//!   Replica state is therefore sized by the peak number of live requests,
+//!   not by the trace — which keeps the sharded engine's per-window
+//!   checkpoints cheap — and every formed slice carries its handle
+//!   ([`RequestSlice::slot`]), so completion indexes instead of looking ids
+//!   up. Trace ids are hashed once per request, into a live-id set that
+//!   rejects duplicates; only cold paths (crash eviction, drain,
+//!   [`request`] by id) map between ids and handles.
+//!
+//! [`request`]: ReplicaScheduler::request
 
 use crate::config::{BatchPolicyKind, SchedulerConfig};
 use crate::memory::BlockManager;
-use crate::request::{Request, RequestId, RequestPhase, TrackedRequest, NO_REQ};
-use crate::slab::IdSlab;
+use crate::request::{Request, RequestId, RequestPhase, TrackedRequest};
+use crate::slab::{Slot, SlotSlab, NO_SLOT};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use vidur_model::batch::{BatchComposition, RequestSlice};
 
 /// What happened to a request when a batch completed.
@@ -70,9 +81,13 @@ pub struct CompletionEvent {
 #[derive(Debug, Clone)]
 pub struct ReplicaScheduler {
     config: SchedulerConfig,
+    /// KV accounting, keyed by request slot.
     blocks: BlockManager,
-    requests: IdSlab<TrackedRequest>,
-    waiting: VecDeque<RequestId>,
+    /// Live requests (waiting, parked, or running) under recycled handles.
+    requests: SlotSlab<TrackedRequest>,
+    /// Trace ids of the live requests (duplicate detection only).
+    live_ids: HashSet<RequestId>,
+    waiting: VecDeque<Slot>,
     /// Admitted requests still prefilling, in admission order.
     prefilling: PhaseList,
     /// Admitted requests in decode phase, in admission order.
@@ -100,14 +115,14 @@ pub struct ReplicaScheduler {
     /// quota. They re-enter the front of their priority tier once the
     /// tenant's holdings drop (see
     /// [`ReplicaScheduler::apply_quota_parking`]).
-    quota_parked: VecDeque<RequestId>,
+    quota_parked: VecDeque<Slot>,
     /// Per-tenant admission denials (waiting → parked transitions).
     quota_denied: Vec<u64>,
     /// Reusable buffers for the park/unpark pre-pass.
-    park_scratch: Vec<RequestId>,
+    park_scratch: Vec<Slot>,
     quota_extra_scratch: Vec<u64>,
-    /// Reusable id-snapshot buffer for batch formation passes.
-    ids_scratch: Vec<RequestId>,
+    /// Reusable slot-snapshot buffer for batch formation passes.
+    ids_scratch: Vec<Slot>,
     /// Recycled slice storage for formed batches (see
     /// [`ReplicaScheduler::recycle_batch`]).
     slice_pool: Vec<Vec<RequestSlice>>,
@@ -134,73 +149,73 @@ pub struct ReplicaScheduler {
 /// O(1) and iteration allocates nothing.
 #[derive(Debug, Clone, Copy)]
 struct PhaseList {
-    head: RequestId,
-    tail: RequestId,
+    head: Slot,
+    tail: Slot,
     len: usize,
 }
 
 impl PhaseList {
     const fn new() -> Self {
         PhaseList {
-            head: NO_REQ,
-            tail: NO_REQ,
+            head: NO_SLOT,
+            tail: NO_SLOT,
             len: 0,
         }
     }
 
-    /// Inserts `id` keeping the list sorted by `admit_seq`. Appending is the
+    /// Inserts `slot` keeping the list sorted by `admit_seq`. Appending is the
     /// overwhelmingly common case (new admissions get the highest sequence;
     /// prefill→decode transitions almost always happen in admission order) —
     /// the backward walk only pays when pipeline parallelism lets a
     /// later-admitted request finish its chunked prefill first.
-    fn insert_ordered(&mut self, requests: &mut IdSlab<TrackedRequest>, id: RequestId) {
-        let seq = requests[&id].admit_seq;
+    fn insert_ordered(&mut self, requests: &mut SlotSlab<TrackedRequest>, slot: Slot) {
+        let seq = requests[slot].admit_seq;
         let mut after = self.tail;
-        while after != NO_REQ && requests[&after].admit_seq > seq {
-            after = requests[&after].prev;
+        while after != NO_SLOT && requests[after].admit_seq > seq {
+            after = requests[after].prev;
         }
-        let before = if after == NO_REQ {
+        let before = if after == NO_SLOT {
             self.head
         } else {
-            requests[&after].next
+            requests[after].next
         };
         {
-            let r = requests.get_mut(&id).expect("tracked");
+            let r = &mut requests[slot];
             r.prev = after;
             r.next = before;
         }
-        if after == NO_REQ {
-            self.head = id;
+        if after == NO_SLOT {
+            self.head = slot;
         } else {
-            requests.get_mut(&after).expect("tracked").next = id;
+            requests[after].next = slot;
         }
-        if before == NO_REQ {
-            self.tail = id;
+        if before == NO_SLOT {
+            self.tail = slot;
         } else {
-            requests.get_mut(&before).expect("tracked").prev = id;
+            requests[before].prev = slot;
         }
         self.len += 1;
     }
 
-    /// Unlinks `id` in O(1) via its intrusive links.
-    fn unlink(&mut self, requests: &mut IdSlab<TrackedRequest>, id: RequestId) {
+    /// Unlinks `slot` in O(1) via its intrusive links.
+    fn unlink(&mut self, requests: &mut SlotSlab<TrackedRequest>, slot: Slot) {
         let (prev, next) = {
-            let r = &requests[&id];
+            let r = &requests[slot];
             (r.prev, r.next)
         };
-        if prev == NO_REQ {
+        if prev == NO_SLOT {
             self.head = next;
         } else {
-            requests.get_mut(&prev).expect("tracked").next = next;
+            requests[prev].next = next;
         }
-        if next == NO_REQ {
+        if next == NO_SLOT {
             self.tail = prev;
         } else {
-            requests.get_mut(&next).expect("tracked").prev = prev;
+            requests[next].prev = prev;
         }
-        let r = requests.get_mut(&id).expect("tracked");
-        r.prev = NO_REQ;
-        r.next = NO_REQ;
+        let r = &mut requests[slot];
+        r.prev = NO_SLOT;
+        r.next = NO_SLOT;
         self.len -= 1;
     }
 }
@@ -212,7 +227,8 @@ impl ReplicaScheduler {
         ReplicaScheduler {
             blocks: BlockManager::new(total_blocks, block_size, config.watermark_frac),
             config,
-            requests: IdSlab::new(),
+            requests: SlotSlab::new(),
+            live_ids: HashSet::new(),
             waiting: VecDeque::new(),
             prefilling: PhaseList::new(),
             decoding: PhaseList::new(),
@@ -318,12 +334,19 @@ impl ReplicaScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if a request with the same id was already added.
+    /// Panics if a request with the same id is still live here (a finished
+    /// or evicted id may return).
     pub fn add_request(&mut self, req: Request) {
-        let prev = self.requests.insert(req.id, TrackedRequest::new(req));
-        assert!(prev.is_none(), "duplicate request id {}", req.id);
-        self.priority_in_use |= req.priority != 0;
-        self.enqueue_waiting_back(req.id);
+        self.track(TrackedRequest::new(req));
+    }
+
+    /// Stores a new live request under a fresh slot and queues it.
+    fn track(&mut self, tracked: TrackedRequest) {
+        let id = tracked.spec.id;
+        assert!(self.live_ids.insert(id), "duplicate request id {id}");
+        self.priority_in_use |= tracked.spec.priority != 0;
+        let slot = self.requests.insert(tracked);
+        self.enqueue_waiting_back(slot);
     }
 
     /// Enqueues a request whose prompt was prefilled on *another* replica
@@ -334,7 +357,7 @@ impl ReplicaScheduler {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate ids or if `already_decoded` is not in
+    /// Panics on duplicate live ids or if `already_decoded` is not in
     /// `1..=decode_tokens` (the prefill node produces the first token).
     pub fn add_remote_prefilled(&mut self, req: Request, already_decoded: u64) {
         assert!(
@@ -344,47 +367,44 @@ impl ReplicaScheduler {
         let mut tracked = TrackedRequest::new(req);
         tracked.prefilled = req.prefill_tokens;
         tracked.decoded = already_decoded;
-        let prev = self.requests.insert(req.id, tracked);
-        assert!(prev.is_none(), "duplicate request id {}", req.id);
-        self.priority_in_use |= req.priority != 0;
-        self.enqueue_waiting_back(req.id);
+        self.track(tracked);
     }
 
-    /// Inserts `id` at the **back of its priority tier** in the waiting
+    /// Inserts `slot` at the **back of its priority tier** in the waiting
     /// queue: after every request of its class or a more urgent one, before
     /// the first request of a less urgent class. The queue is always sorted
     /// by (priority, enqueue order), so the scan from the back is O(1)
     /// whenever the new request's class is the least urgent present — the
     /// overwhelmingly common case, and always true in single-priority runs.
-    fn enqueue_waiting_back(&mut self, id: RequestId) {
+    fn enqueue_waiting_back(&mut self, slot: Slot) {
         if !self.priority_in_use {
-            self.waiting.push_back(id);
+            self.waiting.push_back(slot);
             return;
         }
-        let p = self.requests[&id].spec.priority;
+        let p = self.requests[slot].spec.priority;
         let pos = self
             .waiting
             .iter()
-            .rposition(|w| self.requests[w].spec.priority <= p)
+            .rposition(|&w| self.requests[w].spec.priority <= p)
             .map_or(0, |i| i + 1);
-        self.waiting.insert(pos, id);
+        self.waiting.insert(pos, slot);
     }
 
-    /// Inserts `id` at the **front of its priority tier** — the preemption
+    /// Inserts `slot` at the **front of its priority tier** — the preemption
     /// requeue position: a restarted victim goes back ahead of its own
     /// class but never ahead of a more urgent one.
-    fn enqueue_waiting_front(&mut self, id: RequestId) {
+    fn enqueue_waiting_front(&mut self, slot: Slot) {
         if !self.priority_in_use {
-            self.waiting.push_front(id);
+            self.waiting.push_front(slot);
             return;
         }
-        let p = self.requests[&id].spec.priority;
+        let p = self.requests[slot].spec.priority;
         let pos = self
             .waiting
             .iter()
-            .position(|w| self.requests[w].spec.priority >= p)
+            .position(|&w| self.requests[w].spec.priority >= p)
             .unwrap_or(self.waiting.len());
-        self.waiting.insert(pos, id);
+        self.waiting.insert(pos, slot);
     }
 
     // ---- per-tenant KV quotas -------------------------------------------
@@ -424,14 +444,14 @@ impl ReplicaScheduler {
         self.quota_denied[idx] += 1;
     }
 
-    /// Whether admitting `id` with a reservation for `tokens` keeps its
+    /// Whether admitting `slot` with a reservation for `tokens` keeps its
     /// tenant within quota. Solo-infeasible requests (need > quota outright)
     /// are exempt — see [`ReplicaScheduler::set_tenant_quotas`].
-    fn within_quota(&self, id: RequestId, tokens: u64) -> bool {
+    fn within_quota(&self, slot: Slot, tokens: u64) -> bool {
         if self.tenant_quota_blocks.is_empty() {
             return true;
         }
-        let tenant = self.requests[&id].spec.tenant;
+        let tenant = self.requests[slot].spec.tenant;
         let quota = self.quota_of(tenant);
         if quota == u64::MAX {
             return true;
@@ -443,11 +463,11 @@ impl ReplicaScheduler {
         self.tenant_held(tenant) + need <= quota
     }
 
-    /// The blocks-worth of tokens the admission path will reserve for `id`:
+    /// The blocks-worth of tokens the admission path will reserve for `slot`:
     /// the transferred KV plus one token for remote-prefilled requests, the
     /// full footprint for FasterTransformer cohorts, the prompt otherwise.
-    fn admission_tokens_for(&self, id: RequestId) -> u64 {
-        let r = &self.requests[&id];
+    fn admission_tokens_for(&self, slot: Slot) -> u64 {
+        let r = &self.requests[slot];
         if r.remaining_prefill() == 0 {
             return r.cached_tokens() + 1;
         }
@@ -471,34 +491,34 @@ impl ReplicaScheduler {
             .resize(self.tenant_quota_blocks.len(), 0);
         let mut unpark = std::mem::take(&mut self.park_scratch);
         unpark.clear();
-        for &id in &self.quota_parked {
-            let tenant = self.requests[&id].spec.tenant;
+        for &slot in &self.quota_parked {
+            let tenant = self.requests[slot].spec.tenant;
             let quota = self.quota_of(tenant);
-            let need = self.blocks.blocks_for(self.admission_tokens_for(id));
+            let need = self.blocks.blocks_for(self.admission_tokens_for(slot));
             let extra = self
                 .quota_extra_scratch
                 .get(tenant as usize)
                 .copied()
                 .unwrap_or(0);
             if need > quota || self.tenant_held(tenant) + extra + need <= quota {
-                unpark.push(id);
+                unpark.push(slot);
                 if let Some(e) = self.quota_extra_scratch.get_mut(tenant as usize) {
                     *e += need;
                 }
             }
         }
-        for &id in &unpark {
+        for &slot in &unpark {
             let pos = self
                 .quota_parked
                 .iter()
-                .position(|&p| p == id)
+                .position(|&p| p == slot)
                 .expect("parked");
             self.quota_parked.remove(pos);
         }
         // Front-of-tier inserts prepend within the tier, so walk the batch
         // backwards to restore original order.
-        for &id in unpark.iter().rev() {
-            self.enqueue_waiting_front(id);
+        for &slot in unpark.iter().rev() {
+            self.enqueue_waiting_front(slot);
         }
         self.park_scratch = unpark;
     }
@@ -511,28 +531,28 @@ impl ReplicaScheduler {
         if self.tenant_quota_blocks.is_empty() {
             return;
         }
-        while let Some(&id) = self.waiting.front() {
-            if self.within_quota(id, self.admission_tokens_for(id)) {
+        while let Some(&slot) = self.waiting.front() {
+            if self.within_quota(slot, self.admission_tokens_for(slot)) {
                 break;
             }
             self.waiting.pop_front();
-            self.quota_parked.push_back(id);
-            let tenant = self.requests[&id].spec.tenant;
+            self.quota_parked.push_back(slot);
+            let tenant = self.requests[slot].spec.tenant;
             self.bump_quota_denied(tenant);
         }
     }
 
     /// [`BlockManager::try_reserve`] plus per-tenant holding accounting
     /// (admission path).
-    fn reserve_blocks(&mut self, id: RequestId, tokens: u64) -> bool {
+    fn reserve_blocks(&mut self, slot: Slot, tokens: u64) -> bool {
         if self.tenant_quota_blocks.is_empty() {
-            return self.blocks.try_reserve(id, tokens);
+            return self.blocks.try_reserve(slot.into(), tokens);
         }
-        let before = self.blocks.held_by(id);
-        let ok = self.blocks.try_reserve(id, tokens);
+        let before = self.blocks.held_by(slot.into());
+        let ok = self.blocks.try_reserve(slot.into(), tokens);
         if ok {
-            let delta = self.blocks.held_by(id) - before;
-            let tenant = self.requests[&id].spec.tenant;
+            let delta = self.blocks.held_by(slot.into()) - before;
+            let tenant = self.requests[slot].spec.tenant;
             self.add_tenant_held(tenant, delta as i64);
         }
         ok
@@ -544,56 +564,56 @@ impl ReplicaScheduler {
     /// tokens the hit skips (0 on a miss or for prefix-free requests).
     /// Tenants are charged only for the blocks the request itself owns —
     /// shared prefix blocks belong to the cache tier.
-    fn reserve_blocks_prefixed(&mut self, id: RequestId, tokens: u64) -> Option<u64> {
-        let spec = self.requests[&id].spec;
+    fn reserve_blocks_prefixed(&mut self, slot: Slot, tokens: u64) -> Option<u64> {
+        let spec = self.requests[slot].spec;
         if self.tenant_quota_blocks.is_empty() {
             return self.blocks.try_reserve_prefixed(
-                id,
+                slot.into(),
                 tokens,
                 spec.prefix_id,
                 spec.prefill_tokens,
                 spec.prefix_len,
             );
         }
-        let before = self.blocks.held_by(id);
+        let before = self.blocks.held_by(slot.into());
         let hit = self.blocks.try_reserve_prefixed(
-            id,
+            slot.into(),
             tokens,
             spec.prefix_id,
             spec.prefill_tokens,
             spec.prefix_len,
         )?;
-        let delta = self.blocks.held_by(id) as i64 - before as i64;
+        let delta = self.blocks.held_by(slot.into()) as i64 - before as i64;
         self.add_tenant_held(spec.tenant, delta);
         Some(hit)
     }
 
     /// [`BlockManager::try_grow`] plus per-tenant holding accounting
     /// (decode-growth path; never quota-blocked).
-    fn grow_blocks(&mut self, id: RequestId, tokens: u64) -> bool {
+    fn grow_blocks(&mut self, slot: Slot, tokens: u64) -> bool {
         if self.tenant_quota_blocks.is_empty() {
-            return self.blocks.try_grow(id, tokens);
+            return self.blocks.try_grow(slot.into(), tokens);
         }
-        let before = self.blocks.held_by(id);
-        let ok = self.blocks.try_grow(id, tokens);
+        let before = self.blocks.held_by(slot.into());
+        let ok = self.blocks.try_grow(slot.into(), tokens);
         if ok {
-            let delta = self.blocks.held_by(id) - before;
-            let tenant = self.requests[&id].spec.tenant;
+            let delta = self.blocks.held_by(slot.into()) - before;
+            let tenant = self.requests[slot].spec.tenant;
             self.add_tenant_held(tenant, delta as i64);
         }
         ok
     }
 
     /// [`BlockManager::release`] plus per-tenant holding accounting.
-    fn release_blocks(&mut self, id: RequestId) {
+    fn release_blocks(&mut self, slot: Slot) {
         if !self.tenant_quota_blocks.is_empty() {
-            let held = self.blocks.held_by(id);
+            let held = self.blocks.held_by(slot.into());
             if held > 0 {
-                let tenant = self.requests[&id].spec.tenant;
+                let tenant = self.requests[slot].spec.tenant;
                 self.add_tenant_held(tenant, -(held as i64));
             }
         }
-        self.blocks.release(id);
+        self.blocks.release(slot.into());
     }
 
     /// Admits waiting requests that need **no** prefill (their KV arrived
@@ -605,31 +625,31 @@ impl ReplicaScheduler {
         }
         while self.num_running() < self.config.max_batch_size {
             self.park_quota_blocked_front();
-            let Some(&id) = self.waiting.front() else {
+            let Some(&slot) = self.waiting.front() else {
                 break;
             };
-            let r = &self.requests[&id];
+            let r = &self.requests[slot];
             if r.remaining_prefill() > 0 {
                 break;
             }
             // Reserve the transferred KV plus room for the next token.
             let need = r.cached_tokens() + 1;
-            if !self.reserve_blocks(id, need) {
+            if !self.reserve_blocks(slot, need) {
                 break;
             }
             self.waiting.pop_front();
-            self.enter_running(id, RequestPhase::Decoding);
+            self.enter_running(slot, RequestPhase::Decoding);
         }
     }
 
-    /// Moves `id` (already dequeued from `waiting`) into the running set
+    /// Moves `slot` (already dequeued from `waiting`) into the running set
     /// under `phase`, assigning its admission sequence and maintaining the
     /// phase lists and the projected-KV counter.
-    fn enter_running(&mut self, id: RequestId, phase: RequestPhase) {
+    fn enter_running(&mut self, slot: Slot, phase: RequestPhase) {
         let seq = self.admit_seq;
         self.admit_seq += 1;
         let total = {
-            let r = self.requests.get_mut(&id).expect("tracked");
+            let r = &mut self.requests[slot];
             r.phase = phase;
             r.admit_seq = seq;
             r.spec.total_tokens()
@@ -640,14 +660,14 @@ impl ReplicaScheduler {
             RequestPhase::Decoding => &mut self.decoding,
             _ => unreachable!("requests enter running as Prefilling or Decoding"),
         };
-        list.insert_ordered(&mut self.requests, id);
+        list.insert_ordered(&mut self.requests, slot);
     }
 
-    /// Removes `id` from its phase list and the projected-KV counter (the
+    /// Removes `slot` from its phase list and the projected-KV counter (the
     /// shared half of finishing and preempting).
-    fn leave_running(&mut self, id: RequestId) {
+    fn leave_running(&mut self, slot: Slot) {
         let (phase, total) = {
-            let r = &self.requests[&id];
+            let r = &self.requests[slot];
             (r.phase, r.spec.total_tokens())
         };
         let list = match phase {
@@ -655,7 +675,7 @@ impl ReplicaScheduler {
             RequestPhase::Decoding => &mut self.decoding,
             _ => unreachable!("only running requests leave the running set"),
         };
-        list.unlink(&mut self.requests, id);
+        list.unlink(&mut self.requests, slot);
         self.projected_tokens -= total;
     }
 
@@ -685,9 +705,33 @@ impl ReplicaScheduler {
         self.completed
     }
 
-    /// Read access to a tracked request (for metrics/debugging).
+    /// Read access to a live request by trace id (for metrics/debugging;
+    /// a linear scan over the live set).
     pub fn request(&self, id: RequestId) -> Option<&TrackedRequest> {
-        self.requests.get(&id)
+        self.requests.find(|r| r.spec.id == id).map(|(_, r)| r)
+    }
+
+    /// Request slots materialized so far: the peak number of requests live
+    /// on this replica at once, however long the trace.
+    pub fn slot_capacity(&self) -> usize {
+        self.requests.capacity()
+    }
+
+    /// The slot holding `slice`'s request: the handle stamped at formation,
+    /// or — for a slice this scheduler did not form — a scan by id.
+    fn slot_of(&self, slice: &RequestSlice) -> Slot {
+        let id = slice.request_id;
+        if self
+            .requests
+            .get(slice.slot)
+            .is_some_and(|r| r.spec.id == id)
+        {
+            return slice.slot;
+        }
+        match self.requests.find(|r| r.spec.id == id) {
+            Some((slot, _)) => slot,
+            None => panic!("batch completion for unknown request {id}"),
+        }
     }
 
     /// Forms the next batch, or `None` when nothing can run (idle or all
@@ -752,13 +796,11 @@ impl ReplicaScheduler {
     ) {
         events.clear();
         for slice in batch.slices() {
-            let id = slice.request_id;
-            let Some(req) = self.requests.get_mut(&id) else {
-                panic!("batch completion for unknown request {id}");
-            };
+            let slot = self.slot_of(slice);
+            let req = &mut self.requests[slot];
             req.inflight_tokens = 0;
             let mut ev = CompletionEvent {
-                id,
+                id: slice.request_id,
                 prefill_completed: false,
                 produced_token: false,
                 finished: false,
@@ -773,10 +815,10 @@ impl ReplicaScheduler {
                         ev.prefill_completed = true;
                         ev.produced_token = true;
                     }
-                    self.promote_to_decode(id);
-                    if self.requests[&id].finished() {
+                    self.promote_to_decode(slot);
+                    if self.requests[slot].finished() {
                         ev.finished = true;
-                        self.finish(id);
+                        self.finish(slot);
                     }
                 }
             } else {
@@ -785,7 +827,7 @@ impl ReplicaScheduler {
                 ev.produced_token = true;
                 if req.finished() {
                     ev.finished = true;
-                    self.finish(id);
+                    self.finish(slot);
                 }
             }
             events.push(ev);
@@ -795,21 +837,21 @@ impl ReplicaScheduler {
     /// Moves a request whose prefill just completed from the prefilling list
     /// to the decoding list (same admission sequence, so admission order is
     /// preserved across the phase transition).
-    fn promote_to_decode(&mut self, id: RequestId) {
-        self.prefilling.unlink(&mut self.requests, id);
-        self.requests.get_mut(&id).expect("tracked").phase = RequestPhase::Decoding;
-        self.decoding.insert_ordered(&mut self.requests, id);
+    fn promote_to_decode(&mut self, slot: Slot) {
+        self.prefilling.unlink(&mut self.requests, slot);
+        self.requests[slot].phase = RequestPhase::Decoding;
+        self.decoding.insert_ordered(&mut self.requests, slot);
     }
 
-    fn finish(&mut self, id: RequestId) {
-        self.release_blocks(id);
-        self.leave_running(id);
-        self.requests.remove(&id);
+    fn finish(&mut self, slot: Slot) {
+        self.release_blocks(slot);
+        self.leave_running(slot);
+        self.untrack(slot);
         self.completed += 1;
     }
 
     /// Admits the front waiting request, reserving `reserve_tokens` of KV
-    /// capacity. Returns the id on success.
+    /// capacity. Returns the slot on success.
     ///
     /// Requests that need no prefill (remote-prefilled KV) are refused here:
     /// they are [`admit_prefetched`](Self::admit_prefetched)'s job. Without
@@ -818,34 +860,34 @@ impl ReplicaScheduler {
     /// work, pushing `prefilled` past the prompt length and underflowing
     /// `remaining_prefill` (a latent seed bug, reachable in disaggregated
     /// decode pools under memory pressure).
-    fn admit_front(&mut self, reserve_tokens: u64) -> Option<RequestId> {
+    fn admit_front(&mut self, reserve_tokens: u64) -> Option<Slot> {
         if self.admissions_closed {
             return None;
         }
-        let &id = self.waiting.front()?;
-        if self.requests[&id].remaining_prefill() == 0 {
+        let &slot = self.waiting.front()?;
+        if self.requests[slot].remaining_prefill() == 0 {
             return None;
         }
         // Backstop only: every in-tree policy loop parks quota-blocked
         // fronts (with the same token amount) immediately before calling
         // this, so the check cannot fire today — it guards future callers
         // that admit without the pre-park.
-        if !self.within_quota(id, reserve_tokens) {
+        if !self.within_quota(slot, reserve_tokens) {
             return None;
         }
-        let hit = self.reserve_blocks_prefixed(id, reserve_tokens)?;
+        let hit = self.reserve_blocks_prefixed(slot, reserve_tokens)?;
         self.waiting.pop_front();
         if hit > 0 {
             let tenant = {
-                let r = self.requests.get_mut(&id).expect("tracked");
+                let r = &mut self.requests[slot];
                 debug_assert!(hit < r.spec.prefill_tokens, "a hit leaves prefill work");
                 r.prefilled = hit;
                 r.spec.tenant
             };
             self.bump_prefix_stats(tenant, hit);
         }
-        self.enter_running(id, RequestPhase::Prefilling);
-        Some(id)
+        self.enter_running(slot, RequestPhase::Prefilling);
+        Some(slot)
     }
 
     /// Accounts one prefix-cache hit of `hit` skipped tokens for `tenant`.
@@ -864,12 +906,12 @@ impl ReplicaScheduler {
     /// Evicts a running request (vLLM recompute-restart): releases its KV,
     /// resets its prefill progress, and requeues it at the front of its
     /// priority tier in the waiting queue.
-    fn evict(&mut self, id: RequestId) {
-        self.leave_running(id);
-        self.release_blocks(id);
-        let req = self.requests.get_mut(&id).expect("tracked");
+    fn evict(&mut self, slot: Slot) {
+        self.leave_running(slot);
+        self.release_blocks(slot);
+        let req = &mut self.requests[slot];
         req.restart();
-        self.enqueue_waiting_front(id);
+        self.enqueue_waiting_front(slot);
         self.preemptions += 1;
     }
 
@@ -887,24 +929,21 @@ impl ReplicaScheduler {
     /// Does **not** count toward [`ReplicaScheduler::preemptions`]: crash
     /// evictions are accounted separately by the cluster driver.
     pub fn evict_all(&mut self, out: &mut Vec<RequestId>) {
-        while let Some(id) = self.waiting.pop_front() {
-            self.release_blocks(id);
-            self.requests.remove(&id);
-            out.push(id);
+        while let Some(slot) = self.waiting.pop_front() {
+            self.release_blocks(slot);
+            out.push(self.untrack(slot));
         }
-        while let Some(id) = self.quota_parked.pop_front() {
-            self.release_blocks(id);
-            self.requests.remove(&id);
-            out.push(id);
+        while let Some(slot) = self.quota_parked.pop_front() {
+            self.release_blocks(slot);
+            out.push(self.untrack(slot));
         }
         for list in [self.prefilling, self.decoding] {
             let mut cur = list.head;
-            while cur != NO_REQ {
-                let next = self.requests[&cur].next;
+            while cur != NO_SLOT {
+                let next = self.requests[cur].next;
                 self.leave_running(cur);
                 self.release_blocks(cur);
-                self.requests.remove(&cur);
-                out.push(cur);
+                out.push(self.untrack(cur));
                 cur = next;
             }
         }
@@ -930,16 +969,29 @@ impl ReplicaScheduler {
     /// re-route. Queued work holds no KV blocks, so nothing is released.
     pub fn drain_queued(&mut self, out: &mut Vec<RequestId>) {
         self.admissions_closed = true;
-        while let Some(id) = self.waiting.pop_front() {
-            debug_assert_eq!(self.blocks.held_by(id), 0, "queued work holds no KV");
-            self.requests.remove(&id);
-            out.push(id);
+        while let Some(slot) = self.waiting.pop_front() {
+            debug_assert_eq!(
+                self.blocks.held_by(slot.into()),
+                0,
+                "queued work holds no KV"
+            );
+            out.push(self.untrack(slot));
         }
-        while let Some(id) = self.quota_parked.pop_front() {
-            debug_assert_eq!(self.blocks.held_by(id), 0, "parked work holds no KV");
-            self.requests.remove(&id);
-            out.push(id);
+        while let Some(slot) = self.quota_parked.pop_front() {
+            debug_assert_eq!(
+                self.blocks.held_by(slot.into()),
+                0,
+                "parked work holds no KV"
+            );
+            out.push(self.untrack(slot));
         }
+    }
+
+    /// Frees `slot` for reuse, returning the request's trace id.
+    fn untrack(&mut self, slot: Slot) -> RequestId {
+        let id = self.requests.remove(slot).expect("tracked").spec.id;
+        self.live_ids.remove(&id);
+        id
     }
 
     /// Reopens admissions after a drain was cancelled or the replica came
@@ -965,27 +1017,27 @@ impl ReplicaScheduler {
     /// the first eligible request. Mixed priorities disable the early exit:
     /// the merged walk continues and keeps the best (priority, admit_seq)
     /// victim seen.
-    fn preempt_one(&mut self, protect: RequestId) -> bool {
+    fn preempt_one(&mut self, protect: Slot) -> bool {
         let mut dec = self.decoding.tail;
         let mut pre = self.prefilling.tail;
-        let mut victim = NO_REQ;
+        let mut victim = NO_SLOT;
         let mut victim_key = (0u8, 0u64);
         loop {
-            let pick_decode = if dec == NO_REQ && pre == NO_REQ {
+            let pick_decode = if dec == NO_SLOT && pre == NO_SLOT {
                 break;
-            } else if pre == NO_REQ {
+            } else if pre == NO_SLOT {
                 true
-            } else if dec == NO_REQ {
+            } else if dec == NO_SLOT {
                 false
             } else {
-                self.requests[&dec].admit_seq > self.requests[&pre].admit_seq
+                self.requests[dec].admit_seq > self.requests[pre].admit_seq
             };
-            let id = if pick_decode { dec } else { pre };
-            let r = &self.requests[&id];
-            if id != protect && r.inflight_tokens == 0 {
+            let slot = if pick_decode { dec } else { pre };
+            let r = &self.requests[slot];
+            if slot != protect && r.inflight_tokens == 0 {
                 let key = (r.spec.priority, r.admit_seq);
-                if victim == NO_REQ || key > victim_key {
-                    victim = id;
+                if victim == NO_SLOT || key > victim_key {
+                    victim = slot;
                     victim_key = key;
                 }
                 // Uniform priority: the first eligible request in the
@@ -1000,47 +1052,47 @@ impl ReplicaScheduler {
                 pre = r.prev;
             }
         }
-        if victim == NO_REQ {
+        if victim == NO_SLOT {
             return false;
         }
         self.evict(victim);
         true
     }
 
-    /// Grows `id`'s KV reservation for one appended token, preempting other
-    /// requests if necessary (vLLM recompute). If no victim remains, `id`
+    /// Grows `slot`'s KV reservation for one appended token, preempting other
+    /// requests if necessary (vLLM recompute). If no victim remains, `slot`
     /// itself is preempted and `false` is returned.
-    fn grow_or_preempt(&mut self, id: RequestId) -> bool {
-        let target = self.requests[&id].cached_tokens() + 1;
+    fn grow_or_preempt(&mut self, slot: Slot) -> bool {
+        let target = self.requests[slot].cached_tokens() + 1;
         loop {
-            if self.grow_blocks(id, target) {
+            if self.grow_blocks(slot, target) {
                 return true;
             }
-            if !self.preempt_one(id) {
+            if !self.preempt_one(slot) {
                 // Last resort: preempt the request itself.
-                self.evict(id);
+                self.evict(slot);
                 return false;
             }
         }
     }
 
-    fn mark_inflight(&mut self, id: RequestId, tokens: u64) {
-        self.requests.get_mut(&id).expect("tracked").inflight_tokens = tokens;
+    fn mark_inflight(&mut self, slot: Slot, tokens: u64) {
+        self.requests[slot].inflight_tokens = tokens;
     }
 
-    /// Snapshots the ids of `list` that pass `keep` into the scratch buffer
+    /// Snapshots the slots of `list` that pass `keep` into the scratch buffer
     /// and returns it (swap it back when done). Snapshotting lets formation
     /// passes mutate the lists (growth-driven preemption) mid-iteration.
     fn snapshot_ids(
         &mut self,
         list: &PhaseList,
         keep: impl Fn(&TrackedRequest) -> bool,
-    ) -> Vec<RequestId> {
+    ) -> Vec<Slot> {
         let mut ids = std::mem::take(&mut self.ids_scratch);
         ids.clear();
         let mut cur = list.head;
-        while cur != NO_REQ {
-            let r = &self.requests[&cur];
+        while cur != NO_SLOT {
+            let r = &self.requests[cur];
             if keep(r) {
                 ids.push(cur);
             }
@@ -1054,21 +1106,21 @@ impl ReplicaScheduler {
     fn collect_decodes(&mut self, limit: usize, slices: &mut Vec<RequestSlice>) {
         let decoding = self.decoding;
         let ids = self.snapshot_ids(&decoding, |r| r.inflight_tokens == 0 && !r.finished());
-        for &id in &ids {
+        for &slot in &ids {
             if slices.len() >= limit {
                 break;
             }
             // The request may have been preempted (back to Waiting) by an
             // earlier growth in this same pass.
-            if self.requests[&id].phase != RequestPhase::Decoding {
+            if self.requests[slot].phase != RequestPhase::Decoding {
                 continue;
             }
-            if !self.grow_or_preempt(id) {
+            if !self.grow_or_preempt(slot) {
                 continue;
             }
-            let cached = self.requests[&id].cached_tokens();
-            slices.push(RequestSlice::decode(id, cached));
-            self.mark_inflight(id, 1);
+            let r = &self.requests[slot];
+            slices.push(RequestSlice::decode(r.spec.id, r.cached_tokens()).in_slot(slot));
+            self.mark_inflight(slot, 1);
         }
         self.ids_scratch = ids;
     }
@@ -1081,10 +1133,10 @@ impl ReplicaScheduler {
         // Eagerly admit waiting prompts as a prefill-only batch.
         while self.num_running() < self.config.max_batch_size {
             self.park_quota_blocked_front();
-            let Some(&id) = self.waiting.front() else {
+            let Some(&slot) = self.waiting.front() else {
                 break;
             };
-            let prompt = self.requests[&id].spec.prefill_tokens;
+            let prompt = self.requests[slot].spec.prefill_tokens;
             if tokens + prompt > budget {
                 break;
             }
@@ -1093,11 +1145,11 @@ impl ReplicaScheduler {
             }
             // Re-read after admission: a prefix-cache hit set `prefilled`,
             // so only the un-cached prompt tail is computed (with no hit
-            // this is exactly the `prefill(id, prompt, 0)` slice of old).
-            let r = &self.requests[&id];
+            // this is exactly the `prefill(slot, prompt, 0)` slice of old).
+            let r = &self.requests[slot];
             let take = r.remaining_prefill();
-            slices.push(RequestSlice::prefill(id, take, r.prefilled));
-            self.mark_inflight(id, take);
+            slices.push(RequestSlice::prefill(r.spec.id, take, r.prefilled).in_slot(slot));
+            self.mark_inflight(slot, take);
             tokens += prompt;
         }
         if !slices.is_empty() {
@@ -1117,10 +1169,10 @@ impl ReplicaScheduler {
             && slices.len() < self.config.max_batch_size
         {
             self.park_quota_blocked_front();
-            let Some(&id) = self.waiting.front() else {
+            let Some(&slot) = self.waiting.front() else {
                 break;
             };
-            let prompt = self.requests[&id].spec.prefill_tokens;
+            let prompt = self.requests[slot].spec.prefill_tokens;
             if tokens + prompt > budget {
                 break;
             }
@@ -1128,10 +1180,10 @@ impl ReplicaScheduler {
                 break;
             }
             // Post-admission re-read: prefix-cache hits shrink the slice.
-            let r = &self.requests[&id];
+            let r = &self.requests[slot];
             let take = r.remaining_prefill();
-            slices.push(RequestSlice::prefill(id, take, r.prefilled));
-            self.mark_inflight(id, take);
+            slices.push(RequestSlice::prefill(r.spec.id, take, r.prefilled).in_slot(slot));
+            self.mark_inflight(slot, take);
             tokens += prompt;
         }
     }
@@ -1144,17 +1196,17 @@ impl ReplicaScheduler {
         // Continue partially-prefilled running requests first.
         let prefilling = self.prefilling;
         let partial = self.snapshot_ids(&prefilling, |r| r.inflight_tokens == 0);
-        for &id in &partial {
+        for &slot in &partial {
             if budget == 0 || slices.len() >= self.config.max_batch_size {
                 break;
             }
-            let r = &self.requests[&id];
+            let r = &self.requests[slot];
             let take = r.remaining_prefill().min(budget);
             if take == 0 {
                 continue;
             }
-            slices.push(RequestSlice::prefill(id, take, r.prefilled));
-            self.mark_inflight(id, take);
+            slices.push(RequestSlice::prefill(r.spec.id, take, r.prefilled).in_slot(slot));
+            self.mark_inflight(slot, take);
             budget -= take;
         }
         self.ids_scratch = partial;
@@ -1167,16 +1219,16 @@ impl ReplicaScheduler {
             let Some(&front) = self.waiting.front() else {
                 break;
             };
-            let prompt = self.requests[&front].spec.prefill_tokens;
-            let Some(id) = self.admit_front(prompt) else {
+            let prompt = self.requests[front].spec.prefill_tokens;
+            let Some(slot) = self.admit_front(prompt) else {
                 break;
             };
             // Post-admission re-read: a prefix-cache hit starts the chunked
             // prefill at `prefilled` instead of 0.
-            let r = &self.requests[&id];
+            let r = &self.requests[slot];
             let take = r.remaining_prefill().min(budget);
-            slices.push(RequestSlice::prefill(id, take, r.prefilled));
-            self.mark_inflight(id, take);
+            slices.push(RequestSlice::prefill(r.spec.id, take, r.prefilled).in_slot(slot));
+            self.mark_inflight(slot, take);
             budget -= take;
         }
     }
@@ -1190,14 +1242,14 @@ impl ReplicaScheduler {
             // footprint (FT reserves max sequence length up front).
             while self.num_running() < self.config.max_batch_size {
                 self.park_quota_blocked_front();
-                let Some(&id) = self.waiting.front() else {
+                let Some(&slot) = self.waiting.front() else {
                     break;
                 };
-                let total = self.requests[&id].spec.total_tokens();
+                let total = self.requests[slot].spec.total_tokens();
                 if self.admit_front(total).is_none() {
                     break;
                 }
-                let _ = id;
+                let _ = slot;
             }
         }
         // Prefill phase: process cohort prompts (token budget may spread
@@ -1205,17 +1257,16 @@ impl ReplicaScheduler {
         let mut tokens = 0u64;
         let prefilling = self.prefilling;
         let pending = self.snapshot_ids(&prefilling, |r| r.inflight_tokens == 0);
-        for &id in &pending {
+        for &slot in &pending {
             // `remaining_prefill` equals the full prompt unless a prefix-
             // cache hit pre-filled the shared head at cohort admission.
-            let r = &self.requests[&id];
+            let r = &self.requests[slot];
             let take = r.remaining_prefill();
-            let cached = r.prefilled;
             if tokens + take > budget && tokens > 0 {
                 break;
             }
-            slices.push(RequestSlice::prefill(id, take, cached));
-            self.mark_inflight(id, take);
+            slices.push(RequestSlice::prefill(r.spec.id, take, r.prefilled).in_slot(slot));
+            self.mark_inflight(slot, take);
             tokens += take;
         }
         self.ids_scratch = pending;
@@ -1242,10 +1293,10 @@ impl ReplicaScheduler {
             && slices.len() < self.config.max_batch_size
         {
             self.park_quota_blocked_front();
-            let Some(&id) = self.waiting.front() else {
+            let Some(&slot) = self.waiting.front() else {
                 break;
             };
-            let spec = self.requests[&id].spec;
+            let spec = self.requests[slot].spec;
             if tokens + spec.prefill_tokens > budget {
                 break;
             }
@@ -1258,10 +1309,10 @@ impl ReplicaScheduler {
                 break;
             }
             // Post-admission re-read: prefix-cache hits shrink the slice.
-            let r = &self.requests[&id];
+            let r = &self.requests[slot];
             let take = r.remaining_prefill();
-            slices.push(RequestSlice::prefill(id, take, r.prefilled));
-            self.mark_inflight(id, take);
+            slices.push(RequestSlice::prefill(r.spec.id, take, r.prefilled).in_slot(slot));
+            self.mark_inflight(slot, take);
             tokens += spec.prefill_tokens;
             projected += spec.total_tokens();
         }

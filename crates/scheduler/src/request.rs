@@ -6,14 +6,12 @@
 //! is produced by the iteration that completes the prefill; each subsequent
 //! decode iteration produces one more.
 
+use crate::slab::{Slot, NO_SLOT};
 use serde::{Deserialize, Serialize};
 use vidur_core::time::SimTime;
 
 /// Unique request identifier.
 pub type RequestId = u64;
-
-/// Sentinel for "no request" in the scheduler's intrusive phase lists.
-pub(crate) const NO_REQ: RequestId = RequestId::MAX;
 
 /// Sentinel prefix id for requests that share no prefix (the default).
 pub const NO_PREFIX: u64 = u64::MAX;
@@ -139,12 +137,13 @@ pub struct TrackedRequest {
     /// phase lists identically to the seed's single admission-ordered
     /// `running` vector.
     pub(crate) admit_seq: u64,
-    /// Intrusive link: previous request in this request's phase list
-    /// ([`NO_REQ`] at the head). Maintained by `ReplicaScheduler`.
-    pub(crate) prev: RequestId,
-    /// Intrusive link: next request in this request's phase list
-    /// ([`NO_REQ`] at the tail).
-    pub(crate) next: RequestId,
+    /// Intrusive link: slot of the previous request in this request's
+    /// phase list ([`NO_SLOT`] at the head). Maintained by
+    /// `ReplicaScheduler`.
+    pub(crate) prev: Slot,
+    /// Intrusive link: slot of the next request in this request's phase
+    /// list ([`NO_SLOT`] at the tail).
+    pub(crate) next: Slot,
 }
 
 impl TrackedRequest {
@@ -158,8 +157,8 @@ impl TrackedRequest {
             restarts: 0,
             inflight_tokens: 0,
             admit_seq: 0,
-            prev: NO_REQ,
-            next: NO_REQ,
+            prev: NO_SLOT,
+            next: NO_SLOT,
         }
     }
 

@@ -1,15 +1,134 @@
-//! Dense id-indexed storage for per-request state.
+//! Dense vector-backed storage for per-request state, in two flavours.
 //!
-//! Request ids are dense trace indices in every driver, so the scheduler's
-//! per-slice bookkeeping — one lookup per slice on both batch formation and
-//! completion, the simulator's hottest non-prediction path — indexes a
-//! vector instead of hashing. The API mirrors the `HashMap` subset it
-//! replaces (`insert`/`get`/`get_mut`/`remove`/`len` plus `[&id]`), so it
-//! is a drop-in swap; a sparse caller only pays empty-slot padding up to
-//! its largest id.
+//! * [`SlotSlab`] hands out **replica-local handles** with free-list reuse.
+//!   The replica scheduler keeps its live requests here, so its state — and
+//!   every checkpoint the sharded engine clones of it — is sized by the peak
+//!   number of requests live on the replica at once, not by trace length.
+//!   Batch formation and completion index by handle (batch slices carry
+//!   theirs), so the per-slice hot path neither hashes nor scans.
+//! * [`IdSlab`] indexes directly by [`RequestId`]. It suits run-wide
+//!   per-request tables that are O(trace) by nature — the metrics
+//!   collector's per-request records, the reference scheduler oracle —
+//!   whose drivers use dense trace indices as ids. A sparse caller pays
+//!   empty-slot padding up to its largest id. The API mirrors the `HashMap`
+//!   subset it replaces (`insert`/`get`/`get_mut`/`remove`/`len` plus
+//!   `[&id]`).
 
 use crate::request::RequestId;
-use std::ops::Index;
+use std::ops::{Index, IndexMut};
+
+/// A replica-local request handle issued by [`SlotSlab::insert`].
+pub type Slot = u32;
+
+/// Sentinel for "no slot" (list ends, unstamped batch slices).
+pub const NO_SLOT: Slot = Slot::MAX;
+
+/// Handle-addressed storage with free-list reuse: a removed value's slot is
+/// the next one [`insert`](SlotSlab::insert) hands out, so
+/// [`capacity`](SlotSlab::capacity) never exceeds the peak number of values
+/// held at once.
+#[derive(Debug, Clone)]
+pub struct SlotSlab<T> {
+    slots: Vec<Option<T>>,
+    /// Vacant slots, most recently freed last.
+    free: Vec<Slot>,
+    len: usize,
+}
+
+impl<T> Default for SlotSlab<T> {
+    fn default() -> Self {
+        SlotSlab::new()
+    }
+}
+
+impl<T> SlotSlab<T> {
+    /// Creates an empty slab.
+    pub fn new() -> Self {
+        SlotSlab {
+            slots: Vec::new(),
+            free: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Stores `value` and returns its handle (a recycled one if any is
+    /// vacant).
+    pub fn insert(&mut self, value: T) -> Slot {
+        self.len += 1;
+        match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.slots[slot as usize].is_none());
+                self.slots[slot as usize] = Some(value);
+                slot
+            }
+            None => {
+                let slot = Slot::try_from(self.slots.len()).expect("slot space exhausted");
+                assert!(slot != NO_SLOT, "slot space exhausted");
+                self.slots.push(Some(value));
+                slot
+            }
+        }
+    }
+
+    /// Borrows the value in `slot`.
+    pub fn get(&self, slot: Slot) -> Option<&T> {
+        self.slots.get(slot as usize).and_then(Option::as_ref)
+    }
+
+    /// Mutably borrows the value in `slot`.
+    pub fn get_mut(&mut self, slot: Slot) -> Option<&mut T> {
+        self.slots.get_mut(slot as usize).and_then(Option::as_mut)
+    }
+
+    /// Removes and returns the value in `slot`, freeing the handle for
+    /// reuse.
+    pub fn remove(&mut self, slot: Slot) -> Option<T> {
+        let removed = self.slots.get_mut(slot as usize).and_then(Option::take);
+        if removed.is_some() {
+            self.len -= 1;
+            self.free.push(slot);
+        }
+        removed
+    }
+
+    /// The first occupied `(slot, value)` in slot order matching `pred` —
+    /// a linear scan for cold paths that only know a value's contents.
+    pub fn find(&self, mut pred: impl FnMut(&T) -> bool) -> Option<(Slot, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .find_map(|(i, v)| v.as_ref().filter(|v| pred(v)).map(|v| (i as Slot, v)))
+    }
+
+    /// Number of occupied slots.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the slab holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Slots ever materialized: the peak number of values held at once.
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+impl<T> Index<Slot> for SlotSlab<T> {
+    type Output = T;
+
+    fn index(&self, slot: Slot) -> &T {
+        self.get(slot).expect("no value in slot")
+    }
+}
+
+impl<T> IndexMut<Slot> for SlotSlab<T> {
+    fn index_mut(&mut self, slot: Slot) -> &mut T {
+        self.get_mut(slot).expect("no value in slot")
+    }
+}
 
 /// A map from [`RequestId`] to `T` backed by a dense vector.
 #[derive(Debug, Clone)]
@@ -139,6 +258,31 @@ mod tests {
         assert_eq!(drained, vec![(1, "a"), (2, "b"), (4, "d")]);
         assert!(s.is_empty());
         assert_eq!(s.get(&1), None);
+    }
+
+    #[test]
+    fn slots_recycle_and_capacity_tracks_the_peak() {
+        let mut s: SlotSlab<u64> = SlotSlab::new();
+        let a = s.insert(10);
+        let b = s.insert(20);
+        assert_eq!((a, b), (0, 1));
+        assert_eq!(s.remove(a), Some(10));
+        assert_eq!(s.remove(a), None);
+        assert_eq!(s.insert(30), a, "a freed slot is reused first");
+        assert_eq!(s[b], 20);
+        s[b] += 1;
+        assert_eq!(s.find(|&v| v == 21), Some((b, &21)));
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.capacity(), 2);
+        for v in 0..100 {
+            let slot = s.insert(v);
+            s.remove(slot);
+        }
+        assert_eq!(
+            s.capacity(),
+            3,
+            "churn at one extra live value adds one slot"
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! per available core — and reassembling results in input order, so output is
 //! deterministic regardless of scheduling. Also provides rayon's [`scope`]
 //! API (over `std::thread::scope`) for long-lived workers, which the sharded
-//! event loop uses to run one simulation shard per thread.
+//! event loop's streaming paths use to run one simulation shard per thread
+//! for a whole run.
 
 use std::num::NonZeroUsize;
 
@@ -13,7 +14,10 @@ use std::num::NonZeroUsize;
 ///
 /// Backed by `std::thread::scope`, so each `spawn` is a real OS thread —
 /// appropriate for the small number of long-lived workers the simulator
-/// shards spawn, not for fine-grained tasks.
+/// shards spawn, not for fine-grained tasks. Work that repeats many short
+/// parallel steps (the sharded engine's speculation windows) keeps its
+/// workers alive across steps and hands work over channels instead of
+/// calling this per step.
 ///
 /// # Panics
 ///

@@ -98,11 +98,14 @@ pub struct ClusterConfig {
     pub shards: usize,
     /// Speculation window size for the sharded engine's stateful-routing
     /// path: how many arrivals are pre-routed per window before the shards
-    /// simulate it. `None` (the default) sizes windows adaptively — halving
-    /// on mispredictions down to 1 (sequential-per-window, trivially exact),
-    /// doubling on clean windows. `Some(n)` pins the window at `n` arrivals,
-    /// which tests use to force misprediction pressure. Reports are
-    /// byte-identical for every window size; only wall-clock changes.
+    /// simulate it. `None` (the default) sizes windows adaptively, from one
+    /// arrival (trivially exact, checkpoint-free): halving after a
+    /// misprediction, doubling after a clean window only while recent
+    /// rolled-back events stay a small fraction of committed ones.
+    /// `Some(n)` pins the window at `n` arrivals (a mispredicted window
+    /// still retries cut back to the mismatch), which tests use to force
+    /// misprediction pressure. Reports are byte-identical for every window
+    /// size; only wall-clock changes.
     pub spec_window: Option<usize>,
     /// Determinism-contract version for the engine's stochastic draws.
     /// Version `1` (the default) draws CPU-overhead jitter from one

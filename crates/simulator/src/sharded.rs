@@ -77,18 +77,23 @@
 //! 1. The arrival stream is chopped into windows. Each window's arrivals
 //!    are routed against a throwaway clone of the tier as of the last
 //!    exactly-committed point — speculation with a slightly stale view.
-//! 2. Every shard checkpoints its engine state (core, replicas, queue —
-//!    cheap `Clone`s of slab-backed structures), admits its share of the
-//!    window, and simulates independently up to the next window boundary,
-//!    logging effects exactly like the streaming path.
+//! 2. Every active shard checkpoints its engine state (core, replicas,
+//!    queue), admits its share of the window, and simulates independently
+//!    up to the next window boundary, logging effects exactly like the
+//!    streaming path. A checkpoint costs O(live state), not O(trace): the
+//!    replica schedulers and block managers keep live requests under
+//!    recycled slots, and the core's runtime source is shared behind an
+//!    `Arc` rather than copied.
 //! 3. The merger walks the window logs in exact global `(time, seq)` order
 //!    (the same [`ShardStamper`] reconstruction) and *replays each routing
 //!    decision on the real tier at its exact sequential position*. Match:
 //!    the placement was right. Mismatch: the window rolls back — shards
 //!    restore their checkpoints, the tier/stampers/seq counter restore
-//!    theirs — and the window re-runs with the corrected placement forced
-//!    ([`RoutingTier::route_forced`]). The first mismatch position strictly
-//!    advances per retry, so a window re-runs at most once per arrival.
+//!    theirs — and the window is cut back to end *at* the mispredicted
+//!    arrival and re-run with that placement forced
+//!    ([`RoutingTier::route_forced`]). The retry re-speculates the verified
+//!    prefix identically, so it cannot mispredict: every window commits
+//!    after at most one rollback.
 //! 4. Only after a window verifies does the merger replay its metric
 //!    effects, in the recorded commit order — so the collector sees the
 //!    byte-identical call sequence of a sequential run and never needs a
@@ -96,13 +101,24 @@
 //!    full-replay commit even in mergeable mode, where the tier stream is
 //!    the narrow seam being verified.)
 //!
-//! The window is sized adaptively: it halves after a mispredicted window
-//! (down to one arrival, which is trivially exact — speculation over a
-//! single arrival against the committed tier *is* the sequential decision)
-//! and doubles after a clean one. A misprediction storm therefore degrades
-//! toward sequential-per-window instead of thrashing on rollbacks.
-//! [`ClusterConfig::spec_window`] pins the size for tests that want to
-//! force misprediction pressure.
+//! Window sizes come from a rollback-aware [`WindowGovernor`]. Windows start
+//! at one arrival; a mispredicted window halves the next one, and a clean
+//! window doubles it only while the events rolled back over the last few
+//! windows stay a small fraction of the events committed over them. All
+//! inputs are event counts, so the window sequence — and [`RunStats`] — is
+//! reproducible on any host. The floor is exact and cheap: speculation over
+//! a single arrival against the committed tier *is* the sequential
+//! decision, so a one-arrival window (like a cut-back retry) cannot
+//! mispredict and takes no checkpoint at all. A misprediction storm
+//! therefore degrades to checkpoint-free one-arrival windows that still run
+//! sharded, never to thrashing. [`ClusterConfig::spec_window`] pins the
+//! size for tests that want to force misprediction pressure.
+//!
+//! Shards run on persistent workers spawned once per run ([`ShardPool`]),
+//! at most one thread per core with the merger thread running its share
+//! of shards inline; an attempt hands every other active shard over a
+//! channel to a worker that polls briefly before parking. Per-window cost
+//! is therefore a hand-off, not an OS thread spawn.
 //!
 //! Deferred binds are the one thing speculation cannot honor: a deferral
 //! parks the request centrally and binds it on a *later* event, possibly on
@@ -132,8 +148,9 @@ use crate::cluster::{batch_bytes, ClusterSimulator, RunStats, SimEvent};
 use crate::config::ClusterConfig;
 use crate::engine::{EngineCore, EngineReplica, EngineSink, MAX_EVENTS};
 use crate::metrics::MetricsCollector;
-use std::collections::HashMap;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 use vidur_core::metrics::QuantileMode;
 use vidur_core::shard::{ShardKey, ShardQueue, ShardStamper};
@@ -149,13 +166,18 @@ const CHUNK_ENTRIES: usize = 4096;
 /// In-flight chunks per shard channel: bounds memory (shards block when the
 /// merger falls behind) while keeping the pipeline full.
 const CHANNEL_DEPTH: usize = 4;
-/// Starting speculation window (arrivals) when [`ClusterConfig::spec_window`]
-/// leaves sizing adaptive.
-const DEFAULT_WINDOW: usize = 64;
-/// Adaptive windows never grow beyond this: past a few thousand arrivals the
-/// per-window overheads are fully amortized, while a rollback still only
-/// discards bounded work.
+/// Adaptive windows never grow beyond this (arrivals): past a few thousand
+/// arrivals the per-window overheads are fully amortized, while a rollback
+/// still only discards bounded work.
 const MAX_WINDOW: usize = 4096;
+/// Windows the [`WindowGovernor`] looks back over.
+const GOVERNOR_SAMPLES: usize = 16;
+/// Rolled-back events per committed event, over the governor's look-back,
+/// below which a clean window may grow the next one.
+const ROLLBACK_BUDGET: f64 = 0.125;
+/// Polls of a shard hand-off channel before the receiver parks (see
+/// [`recv_polling`]).
+const HANDOFF_POLLS: usize = 256;
 /// Abort reason when a stateful policy defers: deferred binds happen on
 /// later events and may cross shards, which no shard-local replay can honor.
 const DEFER_ABORT: &str = "stateful policy deferred a request mid-run";
@@ -315,22 +337,27 @@ pub(crate) fn block_reason(config: &ClusterConfig, jitters: bool) -> Option<&'st
     None
 }
 
-/// Reusable pre-route scratch hoisted onto the simulator: the `(arrival
-/// time, trace idx)`-sorted order and the per-arrival placements. The
-/// windowed runner re-speculates into `targets` every window and retry, so
-/// keeping the buffers across calls avoids a pair of per-run allocations
-/// (and re-sorts on the retry path).
+/// Reusable sharded-run scratch hoisted onto the simulator: the `(arrival
+/// time, trace idx)`-sorted order, the per-arrival placements, and the
+/// windowed runner's per-shard log cursors. The windowed runner
+/// re-speculates into `targets` and re-walks the window logs every attempt,
+/// so keeping the buffers avoids per-attempt allocations.
 #[derive(Debug, Default)]
 pub(crate) struct ShardedScratch {
     order: Vec<u32>,
-    targets: Vec<u32>,
+    /// Placement per trace index. Atomic so shard workers can read the
+    /// merger's latest speculation through a shared borrow; the channel
+    /// hand-off that starts each attempt orders the merger's (relaxed)
+    /// writes before the workers' reads.
+    targets: Vec<AtomicU32>,
+    cursors: Vec<LogCursor>,
 }
 
 /// Routes `arrivals` (already in `(arrival time, trace idx)` = sequential
 /// pop order) through `tier`, writing each placement into `targets`.
-/// Arrivals present in `forced` skip the policy and commit to the recorded
+/// The arrival named in `forced` skips the policy and commits to the given
 /// replica — the retry path for a window whose earlier speculation
-/// misplaced them. Errs when the policy defers (see [`DEFER_ABORT`]).
+/// misplaced it. Errs when the policy defers (see [`DEFER_ABORT`]).
 ///
 /// This is the single pre-route used by both sharded paths: the streaming
 /// path calls it once on the *real* tier over the whole trace (stateless
@@ -340,8 +367,8 @@ fn speculate(
     tier: &mut RoutingTier,
     trace: &Trace,
     arrivals: &[u32],
-    forced: &HashMap<u32, u32>,
-    targets: &mut [u32],
+    forced: Option<(u32, u32)>,
+    targets: &[AtomicU32],
 ) -> Result<(), &'static str> {
     for &idx in arrivals {
         let tr = trace.requests[idx as usize];
@@ -351,14 +378,14 @@ fn speculate(
             priority: tr.priority,
             tokens: tr.prefill_tokens + tr.decode_tokens,
         };
-        let target = match forced.get(&idx) {
-            Some(&t) => {
+        let target = match forced {
+            Some((f, t)) if f == idx => {
                 tier.route_forced(req, t as usize);
                 t as usize
             }
-            None => tier.route(req).ok_or(DEFER_ABORT)?,
+            _ => tier.route(req).ok_or(DEFER_ABORT)?,
         };
-        targets[idx as usize] = target as u32;
+        targets[idx as usize].store(target as u32, Relaxed);
     }
     Ok(())
 }
@@ -398,7 +425,9 @@ pub(crate) fn run_sharded(
         .order
         .sort_by_key(|&i| trace.requests[i as usize].arrival);
     scratch.targets.clear();
-    scratch.targets.resize(trace.requests.len(), 0);
+    scratch
+        .targets
+        .resize_with(trace.requests.len(), AtomicU32::default);
 
     let deadline = config.max_sim_time;
     let timer = engine.timer().clone();
@@ -433,7 +462,6 @@ pub(crate) fn run_sharded(
             tier,
             &mut shards,
             scratch,
-            num_shards,
             deadline,
         )?;
         *replicas = reassemble(
@@ -448,13 +476,7 @@ pub(crate) fn run_sharded(
     // round-robin/random placements depend only on router state, so
     // replaying the calls draws the identical decision (and RNG) sequence
     // the interleaved run would — then stream effects with no verification.
-    speculate(
-        tier,
-        trace,
-        &scratch.order,
-        &HashMap::new(),
-        &mut scratch.targets,
-    )?;
+    speculate(tier, trace, &scratch.order, None, &scratch.targets)?;
 
     // Deal replicas round-robin onto shards (global replica r lives on
     // shard r % k at local index r / k) and split the arrival list.
@@ -464,11 +486,11 @@ pub(crate) fn run_sharded(
     }
     let mut shard_arrivals: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
     for &idx in &scratch.order {
-        shard_arrivals[scratch.targets[idx as usize] as usize % num_shards].push(idx);
+        shard_arrivals[scratch.targets[idx as usize].load(Relaxed) as usize % num_shards].push(idx);
     }
 
     let metrics = &mut engine.metrics;
-    let targets_ref: &[u32] = &scratch.targets;
+    let targets_ref: &[AtomicU32] = &scratch.targets;
 
     let streamed = if metrics.mode() == QuantileMode::Mergeable {
         // Fold-in-the-shards path: each shard owns a full-size collector
@@ -621,7 +643,7 @@ struct ShardWorker<'a> {
     num_shards: usize,
     config: &'a ClusterConfig,
     trace: &'a Trace,
-    targets: &'a [u32],
+    targets: &'a [AtomicU32],
     core: EngineCore,
     replicas: Vec<EngineReplica>,
     arrivals: Vec<u32>,
@@ -700,7 +722,7 @@ fn shard_handle(
     num_shards: usize,
     config: &ClusterConfig,
     trace: &Trace,
-    targets: &[u32],
+    targets: &[AtomicU32],
     now: SimTime,
     event: SimEvent,
     queue: &mut ShardQueue<SimEvent>,
@@ -714,7 +736,7 @@ fn shard_handle(
                 decode_tokens: tr.decode_tokens,
                 tenant: tr.tenant,
             });
-            let target = targets[idx as usize];
+            let target = targets[idx as usize].load(Relaxed);
             let local = target as usize / num_shards;
             replicas[local].scheduler.add_request(
                 Request::new(tr.id, tr.arrival, tr.prefill_tokens, tr.decode_tokens)
@@ -811,7 +833,7 @@ struct MergeWorker<'a> {
     num_shards: usize,
     config: &'a ClusterConfig,
     trace: &'a Trace,
-    targets: &'a [u32],
+    targets: &'a [AtomicU32],
     core: EngineCore,
     replicas: Vec<EngineReplica>,
     arrivals: Vec<u32>,
@@ -868,7 +890,7 @@ impl MergeWorker<'_> {
                 let tr = self.trace.requests[idx as usize];
                 self.collector
                     .on_arrival(tr.id, now, tr.decode_tokens, tr.tenant);
-                let target = self.targets[idx as usize];
+                let target = self.targets[idx as usize].load(Relaxed);
                 let local = target as usize / self.num_shards;
                 self.replicas[local].scheduler.add_request(
                     Request::new(tr.id, tr.arrival, tr.prefill_tokens, tr.decode_tokens)
@@ -1203,10 +1225,11 @@ fn commit(
 }
 
 /// One shard of the windowed speculate-and-verify runner. Unlike
-/// [`ShardWorker`] it lives across windows: between windows the merger owns
-/// it (verify, rollback, re-admit), during a window it runs on its own
-/// thread and logs into its in-memory window chunk — no channels, the whole
-/// window log is handed over at the scope join.
+/// [`ShardWorker`] it lives across windows: between attempts the merger
+/// owns it (verify, rollback, re-admit); during an attempt it is moved to
+/// its persistent worker thread (or run inline on the merger thread) and
+/// logs into its in-memory window chunk — the whole window log comes back
+/// with the shard.
 struct SpecShard {
     shard: usize,
     num_shards: usize,
@@ -1218,17 +1241,19 @@ struct SpecShard {
     processed: u64,
     /// The current window's effect log (the chunk is reset per attempt).
     sink: LogSink,
-    /// Pre-window checkpoint, taken at the start of every attempt this
-    /// shard participates in; restored on rollback.
+    /// Pre-attempt checkpoint, taken only by attempts that can mispredict;
+    /// restored on rollback.
     snapshot: Option<SpecSnapshot>,
-    /// Did this shard run the current attempt? Inactive shards (no window
-    /// arrivals, no backlog before the boundary) skip the spawn, the
+    /// Does this shard run the current attempt? Inactive shards (no window
+    /// arrivals, no backlog before the boundary) skip the hand-off, the
     /// snapshot, and the rollback.
     active: bool,
 }
 
-/// Everything a window can change on a shard. All slab-backed `Clone`s: the
-/// queue snapshot pops the exact same sequence as the original.
+/// Everything a window can change on a shard. The replica and queue state
+/// is sized by live requests and pending events (the runtime source behind
+/// the core's timer is shared, not copied), and the queue snapshot pops
+/// the exact same sequence as the original.
 struct SpecSnapshot {
     core: EngineCore,
     replicas: Vec<EngineReplica>,
@@ -1236,47 +1261,58 @@ struct SpecSnapshot {
     processed: u64,
 }
 
+/// Run-wide, read-only context every window attempt shares.
+#[derive(Clone, Copy)]
+struct WindowCtx<'a> {
+    config: &'a ClusterConfig,
+    trace: &'a Trace,
+    targets: &'a [AtomicU32],
+    deadline: Option<SimTime>,
+}
+
+/// One attempt at a window: its arrivals, where it ends, and whether it
+/// can mispredict (and so must checkpoint).
+#[derive(Clone, Copy)]
+struct Attempt<'a> {
+    window: &'a [u32],
+    boundary: Option<(SimTime, ShardKey)>,
+    checkpoint: bool,
+}
+
 impl SpecShard {
-    /// Checkpoints, admits this attempt's share of `window` (arrivals whose
-    /// speculated target lives here), and simulates up to — exclusive — the
-    /// next window's first arrival. The boundary cut is exact: a local
-    /// event at the boundary time always orders *after* the boundary
-    /// arrival ([`ShardKey::Local`] sorts after [`ShardKey::Arrival`], and
-    /// dynamic global seqs all exceed arrival seqs), so "peek before
-    /// boundary" equals "globally before the boundary".
-    fn run_window(
-        &mut self,
-        config: &ClusterConfig,
-        trace: &Trace,
-        targets: &[u32],
-        window: &[u32],
-        boundary: Option<(SimTime, ShardKey)>,
-        deadline: Option<SimTime>,
-    ) {
-        self.snapshot = Some(SpecSnapshot {
+    /// Checkpoints (when the attempt can mispredict), admits this attempt's
+    /// share of the window (arrivals whose speculated target lives here),
+    /// and simulates up to — exclusive — the next window's first arrival.
+    /// The boundary cut is exact: a local event at the boundary time always
+    /// orders *after* the boundary arrival ([`ShardKey::Local`] sorts after
+    /// [`ShardKey::Arrival`], and dynamic global seqs all exceed arrival
+    /// seqs), so "peek before boundary" equals "globally before the
+    /// boundary".
+    fn run_window(&mut self, ctx: WindowCtx<'_>, attempt: Attempt<'_>) {
+        self.snapshot = attempt.checkpoint.then(|| SpecSnapshot {
             core: self.core.clone(),
             replicas: self.replicas.clone(),
             queue: self.queue.clone(),
             processed: self.processed,
         });
         self.sink.chunk.reset();
-        for &idx in window {
-            if targets[idx as usize] as usize % self.num_shards == self.shard {
+        for &idx in attempt.window {
+            if ctx.targets[idx as usize].load(Relaxed) as usize % self.num_shards == self.shard {
                 self.queue.push_arrival(
-                    trace.requests[idx as usize].arrival,
+                    ctx.trace.requests[idx as usize].arrival,
                     idx as u64,
                     SimEvent::Arrival(idx),
                 );
             }
         }
         while let Some(head) = self.queue.peek() {
-            if boundary.is_some_and(|b| head >= b) {
+            if attempt.boundary.is_some_and(|b| head >= b) {
                 break;
             }
             // Pops are time-nondecreasing, so a past-deadline head means
             // everything left is past it too; it stays queued, unpopped —
             // the same effect-free drop the sequential engine performs.
-            if deadline.is_some_and(|d| head.0 > d) || self.processed >= MAX_EVENTS {
+            if ctx.deadline.is_some_and(|d| head.0 > d) || self.processed >= MAX_EVENTS {
                 break;
             }
             let (time, key, event) = self.queue.pop().expect("peeked head");
@@ -1286,9 +1322,9 @@ impl SpecShard {
                 &mut self.core,
                 &mut self.replicas,
                 self.num_shards,
-                config,
-                trace,
-                targets,
+                ctx.config,
+                ctx.trace,
+                ctx.targets,
                 time,
                 event,
                 &mut self.queue,
@@ -1307,7 +1343,10 @@ impl SpecShard {
     /// Discards the current attempt: restores the pre-window checkpoint and
     /// clears the window log.
     fn rollback(&mut self) {
-        let snap = self.snapshot.take().expect("rollback without a snapshot");
+        let snap = self
+            .snapshot
+            .take()
+            .expect("only checkpointed attempts roll back");
         self.core = snap.core;
         self.replicas = snap.replicas;
         self.queue = snap.queue;
@@ -1316,9 +1355,119 @@ impl SpecShard {
     }
 }
 
+/// What a shard worker hands back: the shard, or the panic that killed the
+/// attempt (re-raised on the merger thread so a bug cannot deadlock the
+/// hand-off).
+type Returned = std::thread::Result<SpecShard>;
+
+/// The windowed runner's persistent shard workers: spawned once per run,
+/// waiting on their job channel between attempts. With `t` threads — the
+/// merger plus `t - 1` workers, at most one per core — shard `s` always
+/// runs on thread `s % t`, thread 0 being the merger itself. Each shard's
+/// state stays warm in one thread's cache, more shards than cores never
+/// oversubscribe the host, and an attempt costs a channel hand-off per
+/// active shard off the merger thread instead of an OS thread spawn per
+/// shard.
+struct ShardPool<'a> {
+    jobs: Vec<Sender<(SpecShard, Attempt<'a>)>>,
+    done: Receiver<Returned>,
+    /// The shard list from the previous attempt, kept for its allocation.
+    spare: Vec<SpecShard>,
+}
+
+impl<'a> ShardPool<'a> {
+    /// Spawns `workers` shard workers on `scope`.
+    fn spawn<'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        workers: usize,
+        ctx: WindowCtx<'a>,
+    ) -> Self
+    where
+        'a: 'scope,
+    {
+        let (done_tx, done) = channel::<Returned>();
+        let jobs = (0..workers)
+            .map(|_| {
+                let (job_tx, job_rx) = channel::<(SpecShard, Attempt<'a>)>();
+                let done_tx = done_tx.clone();
+                scope.spawn(move || {
+                    while let Some((mut shard, attempt)) = recv_polling(&job_rx) {
+                        let ran = catch_unwind(AssertUnwindSafe(move || {
+                            shard.run_window(ctx, attempt);
+                            shard
+                        }));
+                        let failed = ran.is_err();
+                        if done_tx.send(ran).is_err() || failed {
+                            break;
+                        }
+                    }
+                });
+                job_tx
+            })
+            .collect();
+        ShardPool {
+            jobs,
+            done,
+            spare: Vec::new(),
+        }
+    }
+
+    /// Runs `attempt` on every active shard and returns once all are back
+    /// in `shards`, in shard order.
+    fn run(&mut self, shards: &mut Vec<SpecShard>, ctx: WindowCtx<'a>, attempt: Attempt<'a>) {
+        let threads = self.jobs.len() + 1;
+        let mut back = std::mem::take(&mut self.spare);
+        let mut sent = 0;
+        for shard in shards.drain(..) {
+            let thread = shard.shard % threads;
+            if shard.active && thread > 0 {
+                self.jobs[thread - 1]
+                    .send((shard, attempt))
+                    .expect("shard workers outlive the run");
+                sent += 1;
+            } else {
+                back.push(shard);
+            }
+        }
+        for shard in back.iter_mut().filter(|s| s.active) {
+            shard.run_window(ctx, attempt);
+        }
+        for _ in 0..sent {
+            match recv_polling(&self.done).expect("shard workers outlive the run") {
+                Ok(shard) => back.push(shard),
+                Err(panic) => resume_unwind(panic),
+            }
+        }
+        back.sort_unstable_by_key(|s| s.shard);
+        std::mem::swap(shards, &mut back);
+        self.spare = back;
+    }
+}
+
+/// Receives from `rx`, polling up to [`HANDOFF_POLLS`] times before
+/// parking; `None` once every sender is gone. Windows are short — a few
+/// dozen events — so the other side usually answers within the polls and
+/// neither thread pays a futex wake-up. Each failed poll yields the CPU
+/// rather than spinning: on a host where a neighbour occupies a core, a
+/// busy-spinning worker steals time from the merger it waits for. On a
+/// 2-vCPU host, `stateful_sharded` replays ran about 10% faster with the
+/// polls, and within noise of parking at once while another process
+/// pinned one core (where a pure busy-spin ran 1.7× slower). A run on one
+/// core has no workers and never gets here.
+fn recv_polling<T>(rx: &Receiver<T>) -> Option<T> {
+    for _ in 0..HANDOFF_POLLS {
+        match rx.try_recv() {
+            Ok(value) => return Some(value),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+        }
+    }
+    rx.recv().ok()
+}
+
 /// Per-shard read cursor over a window log, for the verify and commit
 /// passes.
-#[derive(Default)]
+#[derive(Debug, Default, Clone)]
 struct LogCursor {
     entry: usize,
     effect: usize,
@@ -1328,142 +1477,203 @@ struct LogCursor {
     head: Option<(SimTime, u64)>,
 }
 
+/// Resets `cursors` to one fresh cursor per shard.
+fn reset_cursors(cursors: &mut Vec<LogCursor>, shards: usize) {
+    cursors.clear();
+    cursors.resize_with(shards, LogCursor::default);
+}
+
+/// Sizes speculation windows from the recent rollback record: a
+/// deterministic, count-based governor in the windowed-sample idiom (a
+/// bounded ring of per-window samples, summarized by running sums). A
+/// mispredicted window halves the next one; a clean window doubles it only
+/// while the events rolled back over the last [`GOVERNOR_SAMPLES`] windows
+/// stay within [`ROLLBACK_BUDGET`] of the events committed over them, and
+/// holds it otherwise. Counts — not wall time — keep [`RunStats`] and the
+/// window sequence reproducible on any host.
+struct WindowGovernor {
+    window: usize,
+    /// [`ClusterConfig::spec_window`]: a pinned size never adapts.
+    pinned: bool,
+    /// `(rolled back, committed)` events of the most recent windows.
+    samples: std::collections::VecDeque<(u64, u64)>,
+    rolled_back: u64,
+    committed: u64,
+}
+
+impl WindowGovernor {
+    fn new(pinned: Option<usize>) -> Self {
+        WindowGovernor {
+            window: pinned.unwrap_or(1).max(1),
+            pinned: pinned.is_some(),
+            samples: std::collections::VecDeque::with_capacity(GOVERNOR_SAMPLES),
+            rolled_back: 0,
+            committed: 0,
+        }
+    }
+
+    /// Arrivals the next window should span.
+    fn window(&self) -> usize {
+        self.window
+    }
+
+    /// Records a finished window: the events its rolled-back attempt
+    /// discarded (0 when it verified first time) and the events it
+    /// committed.
+    fn record(&mut self, rolled_back: u64, committed: u64) {
+        if self.samples.len() == GOVERNOR_SAMPLES {
+            let (r, c) = self.samples.pop_front().expect("full ring");
+            self.rolled_back -= r;
+            self.committed -= c;
+        }
+        self.samples.push_back((rolled_back, committed));
+        self.rolled_back += rolled_back;
+        self.committed += committed;
+        if self.pinned {
+            return;
+        }
+        self.window = if rolled_back > 0 {
+            (self.window / 2).max(1)
+        } else if self.rolled_back as f64 <= ROLLBACK_BUDGET * self.committed as f64 {
+            (self.window * 2).min(MAX_WINDOW)
+        } else {
+            self.window
+        };
+    }
+}
+
 /// Drives the windowed speculate-and-verify loop to completion. On `Ok` the
 /// collector and tier hold the exact sequential-run state; on `Err` a
 /// policy deferred and the caller falls back (the simulator is torn).
-#[allow(clippy::too_many_arguments)]
+///
+/// Each window is attempted at most twice. The first attempt speculates
+/// every placement; if the verify pass finds a mismatch, the window is cut
+/// back to end *at* the mispredicted arrival and retried with that arrival
+/// forced to its verified target. The retry re-speculates the verified
+/// prefix identically, so it cannot mispredict — like a one-arrival window,
+/// whose only placement is made against the exactly-committed tier — and
+/// neither takes a checkpoint.
 fn run_windowed(
     config: &ClusterConfig,
     trace: &Trace,
     metrics: &mut MetricsCollector,
     tier: &mut RoutingTier,
-    shards: &mut [SpecShard],
+    shards: &mut Vec<SpecShard>,
     scratch: &mut ShardedScratch,
-    num_shards: usize,
     deadline: Option<SimTime>,
 ) -> Result<RunStats, &'static str> {
+    let num_shards = shards.len();
+    let ShardedScratch {
+        order,
+        targets,
+        cursors,
+    } = scratch;
+    let (order, targets): (&[u32], &[AtomicU32]) = (order, targets);
+    let ctx = WindowCtx {
+        config,
+        trace,
+        targets,
+        deadline,
+    };
     let mut stats = RunStats {
         shards: num_shards,
         ..RunStats::default()
     };
     let mut stampers: Vec<ShardStamper> = (0..num_shards).map(|_| ShardStamper::new()).collect();
     let mut counter = trace.requests.len() as u64;
-    // Corrected placements for the window being retried: trace idx → exact
-    // target. Persists across retries of one window, clears on commit.
-    let mut forced: HashMap<u32, u32> = HashMap::new();
     let mut commit_order: Vec<u32> = Vec::new();
-    let pinned = config.spec_window;
-    let mut window = pinned.unwrap_or(DEFAULT_WINDOW).max(1);
+    let mut governor = WindowGovernor::new(config.spec_window);
 
-    let n = scratch.order.len();
-    let mut cursor = 0usize;
-    while cursor < n {
-        let end = (cursor + window).min(n);
-        // Split the sorted order so the window slice and the boundary
-        // lookup don't alias `scratch.targets` borrows below.
-        let (routed, rest) = scratch.order.split_at(end);
-        let window_arrivals = &routed[cursor..];
-        let boundary = rest.first().map(|&b| {
-            (
-                trace.requests[b as usize].arrival,
-                ShardKey::Arrival(b as u64),
-            )
-        });
-
-        let mut mispredicted = false;
-        loop {
-            // Speculate this window against a throwaway copy of the tier as
-            // of the last exactly-committed point. Re-speculation after a
-            // rollback reproduces the identical unforced prefix (same tier
-            // state, same deterministic policy), so the forced fix stays
-            // aligned with the mismatch it corrects.
-            {
-                let mut spec = tier.clone();
-                speculate(
-                    &mut spec,
-                    trace,
-                    window_arrivals,
-                    &forced,
-                    &mut scratch.targets,
-                )?;
-            }
-            let targets: &[u32] = &scratch.targets;
-            for shard in shards.iter_mut() {
-                let has_arrival = window_arrivals
-                    .iter()
-                    .any(|&idx| targets[idx as usize] as usize % num_shards == shard.shard);
-                let has_backlog = shard.queue.peek().is_some_and(|head| {
-                    boundary.is_none_or(|b| head < b) && deadline.is_none_or(|d| head.0 <= d)
+    std::thread::scope(|scope| {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut pool = ShardPool::spawn(scope, num_shards.min(cores) - 1, ctx);
+        let n = order.len();
+        let mut cursor = 0usize;
+        while cursor < n {
+            let mut end = (cursor + governor.window()).min(n);
+            // Corrected placement for the retry of a mispredicted window.
+            let mut forced: Option<(u32, u32)> = None;
+            let mut rolled_back = 0u64;
+            loop {
+                let window = &order[cursor..end];
+                let boundary = order.get(end).map(|&b| {
+                    (
+                        trace.requests[b as usize].arrival,
+                        ShardKey::Arrival(b as u64),
+                    )
                 });
-                shard.active = has_arrival || has_backlog;
-            }
-            stats.spec_windows += 1;
-            rayon::scope(|scope| {
+                // Speculate against a throwaway copy of the tier as of the
+                // last exactly-committed point. Re-speculation after a
+                // rollback reproduces the identical unforced prefix (same
+                // tier state, same deterministic policy).
+                speculate(&mut tier.clone(), trace, window, forced, targets)?;
+                let checkpoint = window.len() > 1 && forced.is_none();
                 for shard in shards.iter_mut() {
-                    if !shard.active {
-                        continue;
-                    }
-                    scope.spawn(move || {
-                        shard.run_window(
-                            config,
-                            trace,
-                            targets,
-                            window_arrivals,
-                            boundary,
-                            deadline,
-                        )
+                    let has_arrival = window.iter().any(|&idx| {
+                        targets[idx as usize].load(Relaxed) as usize % num_shards == shard.shard
                     });
+                    let has_backlog = shard.queue.peek().is_some_and(|head| {
+                        boundary.is_none_or(|b| head < b) && deadline.is_none_or(|d| head.0 <= d)
+                    });
+                    shard.active = has_arrival || has_backlog;
                 }
-            });
-
-            let tier_checkpoint = tier.clone();
-            let stamper_checkpoint = stampers.clone();
-            let counter_checkpoint = counter;
-            commit_order.clear();
-            match verify_window(
-                shards,
-                &mut stampers,
-                &mut counter,
-                tier,
-                trace,
-                targets,
-                &mut commit_order,
-            )? {
-                None => {
-                    // The window is exact; replay its metric effects in the
-                    // verified global order.
-                    stats.streamed_effects += commit_metrics(shards, metrics, &commit_order);
-                    break;
-                }
-                Some((idx, actual)) => {
-                    stats.mispredictions += 1;
-                    mispredicted = true;
-                    for shard in shards.iter_mut() {
-                        if shard.active {
-                            stats.rollback_events += shard.sink.chunk.entries.len() as u64;
-                            shard.rollback();
-                        }
+                stats.spec_windows += 1;
+                pool.run(
+                    shards,
+                    ctx,
+                    Attempt {
+                        window,
+                        boundary,
+                        checkpoint,
+                    },
+                );
+                let restore = checkpoint.then(|| (tier.clone(), stampers.clone(), counter));
+                commit_order.clear();
+                match verify_window(
+                    shards,
+                    &mut stampers,
+                    &mut counter,
+                    tier,
+                    trace,
+                    targets,
+                    cursors,
+                    &mut commit_order,
+                )? {
+                    None => {
+                        // The window is exact; replay its metric effects in
+                        // the verified global order.
+                        stats.streamed_effects +=
+                            commit_metrics(shards, metrics, cursors, &commit_order);
+                        break;
                     }
-                    *tier = tier_checkpoint;
-                    stampers = stamper_checkpoint;
-                    counter = counter_checkpoint;
-                    forced.insert(idx, actual);
+                    Some((idx, actual)) => {
+                        let (tier_at, stampers_at, counter_at) =
+                            restore.expect("an attempt without a checkpoint cannot mispredict");
+                        stats.mispredictions += 1;
+                        for shard in shards.iter_mut() {
+                            if shard.active {
+                                rolled_back += shard.sink.chunk.entries.len() as u64;
+                                shard.rollback();
+                            }
+                        }
+                        *tier = tier_at;
+                        stampers = stampers_at;
+                        counter = counter_at;
+                        forced = Some((idx, actual));
+                        let at = window
+                            .iter()
+                            .position(|&i| i == idx)
+                            .expect("the mismatch lies in the window");
+                        end = cursor + at + 1;
+                    }
                 }
             }
+            stats.rollback_events += rolled_back;
+            governor.record(rolled_back, commit_order.len() as u64);
+            cursor = end;
         }
-        forced.clear();
-        cursor = end;
-        if pinned.is_none() {
-            // Halve under misprediction pressure (a one-arrival window is
-            // trivially exact), grow while speculation holds.
-            window = if mispredicted {
-                (window / 2).max(1)
-            } else {
-                (window * 2).min(MAX_WINDOW)
-            };
-        }
-    }
-    Ok(stats)
+        Ok(stats)
+    })
 }
 
 /// The verify pass: walks the active shards' window logs in exact global
@@ -1476,16 +1686,18 @@ fn run_windowed(
 /// Returns `Ok(None)` when every placement matched (with `commit_order`
 /// holding the shard sequence for the commit pass), `Ok(Some((idx,
 /// actual)))` at the first mismatch, or `Err` if the policy deferred.
+#[allow(clippy::too_many_arguments)]
 fn verify_window(
     shards: &[SpecShard],
     stampers: &mut [ShardStamper],
     counter: &mut u64,
     tier: &mut RoutingTier,
     trace: &Trace,
-    targets: &[u32],
+    targets: &[AtomicU32],
+    cursors: &mut Vec<LogCursor>,
     commit_order: &mut Vec<u32>,
 ) -> Result<Option<(u32, u32)>, &'static str> {
-    let mut cursors: Vec<LogCursor> = shards.iter().map(|_| LogCursor::default()).collect();
+    reset_cursors(cursors, shards.len());
     loop {
         // Linear min-scan over resolved heads, as in `merge`.
         let mut best: Option<(usize, (SimTime, u64))> = None;
@@ -1529,7 +1741,7 @@ fn verify_window(
                     tokens: tr.prefill_tokens + tr.decode_tokens,
                 })
                 .ok_or(DEFER_ABORT)?;
-            if actual as u32 != targets[idx as usize] {
+            if actual as u32 != targets[idx as usize].load(Relaxed) {
                 return Ok(Some((idx, actual as u32)));
             }
         }
@@ -1568,9 +1780,10 @@ fn verify_window(
 fn commit_metrics(
     shards: &[SpecShard],
     metrics: &mut MetricsCollector,
+    cursors: &mut Vec<LogCursor>,
     commit_order: &[u32],
 ) -> u64 {
-    let mut cursors: Vec<LogCursor> = shards.iter().map(|_| LogCursor::default()).collect();
+    reset_cursors(cursors, shards.len());
     let mut committed = 0u64;
     for &s in commit_order {
         let chunk = &shards[s as usize].sink.chunk;

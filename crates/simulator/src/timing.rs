@@ -12,10 +12,11 @@
 //! so a simulation's [`SimulationReport`](crate::metrics::SimulationReport)
 //! is byte-identical with the cache on or off.
 //!
-//! Cloning a `StageTimer` shares its cache: the capacity search clones one
-//! timer into every bisection probe of a configuration so later probes
-//! reuse the shapes earlier probes (and the offline bounding run) already
-//! priced.
+//! Cloning a `StageTimer` shares its cache and its runtime source: the
+//! capacity search clones one timer into every bisection probe of a
+//! configuration so later probes reuse the shapes earlier probes (and the
+//! offline bounding run) already priced, and the sharded engine clones it
+//! into every shard checkpoint at the cost of a few refcounts.
 
 use crate::config::ClusterConfig;
 use parking_lot::Mutex;
@@ -98,7 +99,11 @@ pub struct StageTimer {
     model: ModelSpec,
     parallelism: ParallelismConfig,
     async_pipeline_comm: bool,
-    source: RuntimeSource,
+    /// Shared, never mutated after onboarding: a clone (every shard
+    /// checkpoint clones its engine core, and with it this timer) bumps a
+    /// refcount instead of deep-copying a trained estimator's per-operator
+    /// regressors.
+    source: Arc<RuntimeSource>,
     /// `None` disables memoization (every batch priced directly).
     cache: Option<Arc<Mutex<ShapeMap>>>,
     /// Hit/miss counters, shared by plain clones but *detachable* from the
@@ -132,7 +137,7 @@ impl StageTimer {
             model,
             parallelism,
             async_pipeline_comm,
-            source,
+            source: Arc::new(source),
             cache: cached.then(|| Arc::new(Mutex::new(ShapeMap::default()))),
             stats: Arc::new(Mutex::new(CacheStats::default())),
         }
@@ -286,6 +291,16 @@ mod tests {
         cached.time_batch(&b);
         clone.time_batch(&b);
         assert_eq!(clone.stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn clones_share_the_runtime_source() {
+        let model = ModelSpec::llama2_7b();
+        let par = ParallelismConfig::serial();
+        let timer = StageTimer::new(model.clone(), par, false, estimator(&model, &par), true);
+        let clone = timer.clone();
+        assert!(Arc::ptr_eq(&timer.source, &clone.source));
+        assert!(Arc::ptr_eq(&timer.source, &timer.with_fresh_stats().source));
     }
 
     proptest! {

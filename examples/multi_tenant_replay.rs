@@ -17,7 +17,12 @@
 //!    least-outstanding on the windowed speculate-and-verify path — assert
 //!    both reports are byte-identical to the sequential engine's, and print
 //!    the speculation counters (windows, mispredictions, rollbacks) and any
-//!    fallback reason.
+//!    fallback reason. For scale: on the perfbench `stateful_sharded`
+//!    replay (5k steady-state requests, least-outstanding, 2 shards on a
+//!    2-vCPU host) the counters read 4,187 windows, 435 mispredictions and
+//!    38,367 events rolled back against 123,599 committed — 0.76 of all
+//!    simulated events useful. Under the earlier halve/double window rule
+//!    the same replay rolled back 329,845 (0.27 useful).
 //! 6. With `VIDUR_MERGEABLE=1`, rerun the sharded replay in the mergeable
 //!    metrics mode — latency sketches fold inside the shards, only tier
 //!    effects stream to the merger — assert the report is invariant across

@@ -5,6 +5,8 @@
 //! subtler does.
 
 use vidur::prelude::*;
+use vidur::simulator::cluster::SimEvent;
+use vidur::simulator::engine::{drive, trace_arrivals};
 
 fn base_config() -> ClusterConfig {
     ClusterConfig::new(
@@ -620,6 +622,35 @@ fn sharded_speculation_storm_degrades_bit_exact() {
     assert!(
         stats.spec_windows > stats.mispredictions,
         "adaptive shrink must keep committing windows between rollbacks"
+    );
+}
+
+/// The rollback-aware window governor on steady-state stateful traffic:
+/// least-outstanding routing over a Poisson stream, where interleaved
+/// completions keep flipping the argmin. Speculation must stay bit-exact,
+/// actually mispredict, and still discard no more events than the run
+/// commits — a deterministic count, identical on every host. (The old
+/// halve/double rule doubled straight back into mispredicting windows and
+/// discarded several events per committed one on traffic like this.)
+#[test]
+fn sharded_governor_bounds_rollback_on_steady_state() {
+    let mut cfg = base_config();
+    cfg.num_replicas = 4;
+    cfg.global_policy = GlobalPolicyKind::LeastOutstanding;
+    let trace = fixed_trace(800, 14.0, 67);
+    let stats = assert_speculative_identical("governor_4x2", cfg.clone(), &trace, 2);
+    let mut sequential = ClusterSimulator::new(cfg, trace.clone(), estimator_source(), 5);
+    let (_, committed) = drive(&mut sequential, trace_arrivals(&trace, SimEvent::Arrival));
+    assert!(
+        stats.mispredictions > 0,
+        "steady-state least-outstanding traffic must mispredict at least once"
+    );
+    assert!(
+        stats.rollback_events <= committed,
+        "{} events rolled back against {committed} committed ({} windows, {} mispredictions)",
+        stats.rollback_events,
+        stats.spec_windows,
+        stats.mispredictions
     );
 }
 
