@@ -2,50 +2,9 @@
 //! the `slice.par_iter().map(f).collect::<Vec<_>>()` pipeline the workspace
 //! uses, executing the map on scoped `std::thread`s — contiguous chunks, one
 //! per available core — and reassembling results in input order, so output is
-//! deterministic regardless of scheduling. Also provides rayon's [`scope`]
-//! API (over `std::thread::scope`) for long-lived workers, which the sharded
-//! event loop's streaming paths use to run one simulation shard per thread
-//! for a whole run.
+//! deterministic regardless of scheduling.
 
 use std::num::NonZeroUsize;
-
-/// Runs `f` with a [`Scope`] that can spawn borrowed worker closures; blocks
-/// until every spawned closure has finished, like `rayon::scope`.
-///
-/// Backed by `std::thread::scope`, so each `spawn` is a real OS thread —
-/// appropriate for the small number of long-lived workers the simulator
-/// shards spawn, not for fine-grained tasks. Work that repeats many short
-/// parallel steps (the sharded engine's speculation windows) keeps its
-/// workers alive across steps and hands work over channels instead of
-/// calling this per step.
-///
-/// # Panics
-///
-/// Propagates a panic from any spawned worker.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    std::thread::scope(|s| f(&Scope { inner: s }))
-}
-
-/// Scope handle passed to the [`scope`] closure; mirrors `rayon::Scope`.
-#[derive(Debug)]
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a worker that may borrow from the enclosing scope. Unlike
-    /// rayon's signature the closure takes no re-entrant scope argument —
-    /// none of the workspace's call sites nest spawns.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.inner.spawn(f);
-    }
-}
 
 /// `rayon::prelude` — brings `par_iter` into scope.
 pub mod prelude {

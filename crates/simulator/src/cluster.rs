@@ -170,14 +170,16 @@ pub struct RunStats {
     /// because sharding was off or the configuration fell off the fast
     /// path).
     pub shards: usize,
-    /// Effects the shards streamed through the serial merger. In
-    /// exact/sketch modes every metric effect replays serially; in
-    /// mergeable mode only tier-relevant effects stream, so this drops by
-    /// an order of magnitude. Zero on sequential runs (nothing streams).
+    /// Committed effects the serial merger consumed from the shards' window
+    /// logs. Under the replay commit every metric effect replays serially;
+    /// under the fold commit (stateless routing with mergeable metrics) the
+    /// shards apply metric effects to their own collectors and only the
+    /// tier effects cross over, so this drops by an order of magnitude.
+    /// Zero on sequential runs (nothing streams).
     pub streamed_effects: u64,
-    /// Speculation windows the stateful-routing fast path executed
-    /// (retries of a rolled-back window count again). Zero on sequential
-    /// runs and on the stateless streaming path, which never speculates.
+    /// Speculation windows the sharded runner executed (retries of a
+    /// rolled-back window count again). Nonzero on every sharded run,
+    /// stateless routing included; zero on sequential runs.
     pub spec_windows: u64,
     /// Arrivals whose speculative placement disagreed with the exact
     /// live-view replay during the ordered commit. Each one rolls the

@@ -88,17 +88,16 @@ pub struct ClusterConfig {
     /// above 1 opt into the sharded engine for configurations on its fast
     /// path — no late-abort, no elastic fleet, no armed prefix cache,
     /// jitter-free runtimes (unless [`Self::rng_version`] is 2), and any
-    /// non-`Deferred` routing policy: stateless policies
-    /// (round-robin/random) stream straight through, stateful ones
-    /// (least-outstanding, priority-aware, fair-share, affinity, KV-aware)
-    /// run under windowed speculate-and-verify routing; anything else falls
-    /// back to the sequential engine with the reason reported in
+    /// non-`Deferred` routing policy, all of which run under windowed
+    /// speculate-and-verify routing (stateless round-robin/random never
+    /// mispredict, so they never checkpoint); anything else falls back to
+    /// the sequential engine with the reason reported in
     /// `RunStats::fallback_reason`. Reports are bit-identical either way
     /// (see `vidur_simulator::sharded`).
     pub shards: usize,
-    /// Speculation window size for the sharded engine's stateful-routing
-    /// path: how many arrivals are pre-routed per window before the shards
-    /// simulate it. `None` (the default) sizes windows adaptively, from one
+    /// Speculation window size for the sharded engine: how many arrivals
+    /// are pre-routed per window before the shards simulate it. `None`
+    /// (the default) sizes windows adaptively, from one
     /// arrival (trivially exact, checkpoint-free): halving after a
     /// misprediction, doubling after a clean window only while recent
     /// rolled-back events stay a small fraction of committed ones.

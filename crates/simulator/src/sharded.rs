@@ -5,101 +5,101 @@
 //! Replicas in an aggregated cluster interact only through the routing tier
 //! and the shared metrics collector; the per-replica simulation (batch
 //! formation, pipeline occupancy, wakeups, completions) is self-contained.
-//! When the routing decisions can be computed up front, the event loop
-//! therefore factors into fully independent pieces: replicas are dealt
-//! round-robin onto `k` shards, every shard runs its entire sub-simulation
-//! on its own thread with its own [`ShardQueue`] and
-//! [`EngineCore`](crate::engine::EngineCore), and the only serial work left
-//! is *committing* the measured effects into the metrics collector and the
-//! tier — which the main thread does by streaming the shards' effect logs
-//! and always committing the globally-earliest entry next.
+//! Replicas are therefore dealt round-robin onto `k` shards, each with its
+//! own [`ShardQueue`] and [`EngineCore`](crate::engine::EngineCore), and the
+//! shards simulate independently. The serial work left on the merger thread
+//! is routing and *committing* the shards' measured effects into the tier
+//! and the collector.
+//!
+//! # Speculate and verify
+//!
+//! Routing is the one cross-shard input, and a stateful policy
+//! (least-outstanding, priority-aware, fair-share, affinity, KV-aware) reads
+//! the *live* load view at every arrival: an interleaved completion on
+//! another shard can change its argmin. One windowed runner therefore treats
+//! every placement as a *guess* and checks it against ground truth:
+//!
+//! 1. The arrival stream is chopped into windows. Each window's arrivals
+//!    are routed against a throwaway clone of the tier as of the last
+//!    exactly-committed point — speculation with a slightly stale view.
+//! 2. Every active shard admits its share of the window and simulates
+//!    independently up to the next window boundary, logging its effects.
+//!    An attempt that can mispredict first checkpoints the shard's engine
+//!    state (core, replicas, queue). A checkpoint costs O(live state), not
+//!    O(trace): the replica schedulers and block managers keep live
+//!    requests under recycled slots, and the core's runtime source is
+//!    shared behind an `Arc` rather than copied.
+//! 3. The merger walks the window logs in exact global `(time, seq)` order
+//!    and *replays each routing decision on the real tier at its exact
+//!    sequential position*, applying the tier effects (finished requests,
+//!    free-KV updates) along the way. Match: the placement was right.
+//!    Mismatch: the window rolls back — shards restore their checkpoints,
+//!    the tier/stampers/seq counter restore theirs — and the window is cut
+//!    back to end *at* the mispredicted arrival and re-run with that
+//!    placement forced ([`RoutingTier::route_forced`]). The retry
+//!    re-speculates the verified prefix identically, so it cannot
+//!    mispredict: every window commits after at most one rollback.
+//! 4. Only after a window verifies do its metric effects commit (see
+//!    *Commit strategies*), so the collector never needs a snapshot.
+//!
+//! Stateless policies (round-robin, random) are the case that never
+//! mispredicts: they are deterministic functions of their own router state
+//! and never read the live view, so speculating against the committed tier
+//! draws the identical decision (and RNG) sequence the verify pass does.
+//! Their attempts never checkpoint; verify still replays each route on the
+//! real tier, so an impossible mismatch trips an assertion rather than
+//! diverging silently.
 //!
 //! # Determinism argument
 //!
 //! The sequential engine's event order is exactly `(time, seq)` with `seq`
 //! the global insertion counter, and its report is a fold of metric effects
-//! in that order. The sharded run reproduces that fold bit-for-bit:
+//! in that order. The sharded run reproduces that order bit-for-bit:
 //!
-//! * Arrivals are pre-routed by replaying `RoutingTier::route` in arrival
-//!   order before the run — legal precisely because the fast-path policies
-//!   (round-robin, random) are deterministic functions of their own state
-//!   and never read the live load view, so interleaved completions cannot
-//!   change their decisions. Each arrival's global `seq` is its trace index.
-//! * Within a shard, events are ordered by `(time, arrival-seq | local
-//!   push counter)`, which equals the sequential order restricted to the
-//!   shard (see [`vidur_core::shard`]). At commit time a
-//!   [`ShardStamper`] re-derives true global seqs: a committed handler's
-//!   children claim the next counter values in push order.
-//! * The merge then commits the lowest `(time, seq)` stream head, replaying
-//!   each entry's logged effects through the *same* collector methods the
-//!   sequential engine calls, in the same order — f64 accumulation order,
-//!   quantile-digest streams, and per-tenant bookkeeping included.
+//! * Each arrival's global `seq` is its trace index. Within a shard, events
+//!   are ordered by `(time, arrival-seq | local push counter)`, which
+//!   equals the sequential order restricted to the shard (see
+//!   [`vidur_core::shard`]). The verify pass re-derives true global seqs
+//!   with one [`ShardStamper`] per shard: a committed handler's children
+//!   claim the next counter values in push order.
+//! * A window boundary is the next window's first arrival; a local event at
+//!   the boundary time always orders after it, so "pop before the
+//!   boundary" on a shard equals "globally before the boundary".
+//! * The stop conditions fold in too: shards truncate at the deadline (the
+//!   sequential run processes every event at `time <= deadline` and drops
+//!   exactly one later event without effects), and events after global
+//!   completion are provably effect-free wakeups (no batch can be in flight
+//!   once every request finished), so draining them is a no-op.
 //!
-//! The stop conditions fold in too: shards truncate at the deadline (the
-//! sequential run processes every event at `time <= deadline` and drops
-//! exactly one later event without effects), and events after global
-//! completion are provably effect-free wakeups (no batch can be in flight
-//! once every request finished), so draining them is a no-op.
+//! # Commit strategies
 //!
-//! # Mergeable mode: fold in the shards, stream only the tier
+//! The runner commits a verified window's metric effects in one of two
+//! ways, chosen from the input:
 //!
-//! The full-replay commit above re-executes *every* metric effect serially,
-//! so the merger thread is the scaling ceiling. Under
-//! [`QuantileMode::Mergeable`] the collector's state is a pure fold over
-//! per-replica single-writer slots, which makes the replay unnecessary:
-//! each shard owns a full [`MetricsCollector`] and commits request, batch,
-//! and KV effects *locally* as its replicas produce them; the main thread
-//! folds the per-shard collectors together at drain
-//! ([`MetricsCollector::merge`]). Because every slot is written by exactly
-//! one replica — whose event stream is identical for any shard count — the
-//! merged report is byte-identical across shard counts (though not
-//! bit-comparable with the other two modes).
+//! * **Replay** (the default): shards log every metric effect, and the
+//!   merger replays them through the *same* collector methods the
+//!   sequential engine calls, in the verified global order — f64
+//!   accumulation order, quantile-digest streams, and per-tenant
+//!   bookkeeping included. The collector sees the byte-identical call
+//!   sequence of a sequential run.
+//! * **Fold** (stateless policy under [`QuantileMode::Mergeable`]): replay
+//!   re-executes every metric effect serially, so the merger is the scaling
+//!   ceiling. Under mergeable metrics the collector's state is a pure fold
+//!   over per-replica single-writer slots, so each shard instead owns a
+//!   full [`MetricsCollector`], applies its metric effects to it as its
+//!   replicas produce them, and logs only what verify needs: the finished
+//!   requests of each retire and the free-KV updates. The merger skips the
+//!   metric commit and folds the shard collectors together in shard order
+//!   at drain ([`MetricsCollector::merge`]). Because every slot is written
+//!   by exactly one replica — whose event stream is identical for any shard
+//!   count — the merged report is byte-identical across shard counts
+//!   (though not bit-comparable with the other quantile modes).
 //!
-//! Only the *tier-relevant* effects still stream to the merger, as light
-//! [`TierEffect`] records: request-finished notifications (per-tenant
-//! counters and the live view) and free-KV updates (per-replica last-write).
-//! Both are commutative across replicas on the fast path — `on_finished` is
-//! integer bookkeeping and `set_free_kv_blocks` is single-writer per
-//! replica, with routing already fixed at pre-route time — so the merger
-//! applies them in `(time, shard)` order without reconstructing global
-//! sequence numbers. This shrinks the serial commit from every metric
-//! effect to a few effects per batch completion.
+//! Stateful runs replay in every quantile mode: a fold shard's collector
+//! would have to be checkpointed and rolled back with the rest of the
+//! shard.
 //!
-//! # Speculate and verify: stateful policies on the fast path
-//!
-//! Stateful policies (least-outstanding, priority-aware, fair-share,
-//! affinity, KV-aware) read the *live* load view at every arrival, so their
-//! decisions cannot be pre-routed: an interleaved completion on another
-//! shard can change the argmin. The windowed runner puts them on the
-//! parallel path anyway by treating the pre-route as a *guess* and checking
-//! it against ground truth:
-//!
-//! 1. The arrival stream is chopped into windows. Each window's arrivals
-//!    are routed against a throwaway clone of the tier as of the last
-//!    exactly-committed point — speculation with a slightly stale view.
-//! 2. Every active shard checkpoints its engine state (core, replicas,
-//!    queue), admits its share of the window, and simulates independently
-//!    up to the next window boundary, logging effects exactly like the
-//!    streaming path. A checkpoint costs O(live state), not O(trace): the
-//!    replica schedulers and block managers keep live requests under
-//!    recycled slots, and the core's runtime source is shared behind an
-//!    `Arc` rather than copied.
-//! 3. The merger walks the window logs in exact global `(time, seq)` order
-//!    (the same [`ShardStamper`] reconstruction) and *replays each routing
-//!    decision on the real tier at its exact sequential position*. Match:
-//!    the placement was right. Mismatch: the window rolls back — shards
-//!    restore their checkpoints, the tier/stampers/seq counter restore
-//!    theirs — and the window is cut back to end *at* the mispredicted
-//!    arrival and re-run with that placement forced
-//!    ([`RoutingTier::route_forced`]). The retry re-speculates the verified
-//!    prefix identically, so it cannot mispredict: every window commits
-//!    after at most one rollback.
-//! 4. Only after a window verifies does the merger replay its metric
-//!    effects, in the recorded commit order — so the collector sees the
-//!    byte-identical call sequence of a sequential run and never needs a
-//!    snapshot. (This holds for every quantile mode; stateful runs use the
-//!    full-replay commit even in mergeable mode, where the tier stream is
-//!    the narrow seam being verified.)
+//! # Windows and workers
 //!
 //! Window sizes come from a rollback-aware [`WindowGovernor`]. Windows start
 //! at one arrival; a mispredicted window halves the next one, and a clean
@@ -136,9 +136,7 @@
 //! stream per replica), late-abort must be off (its stop condition depends
 //! on the merged metrics mid-run), the fleet must be fixed (elastic events
 //! are globally ordered), the prefix cache must be off (hit publication is
-//! cross-replica), and the policy must not be the deferred one. Round-robin
-//! and random take the streaming path (one pre-route, no verification);
-//! every other policy takes the windowed speculate-and-verify path.
+//! cross-replica), and the policy must not be the deferred one.
 //! Everything else silently uses the sequential engine, which stays the
 //! differential oracle: `tests/engine_regression.rs` pins that every
 //! scenario reports identically with shards on and off, and that
@@ -150,7 +148,7 @@ use crate::engine::{EngineCore, EngineReplica, EngineSink, MAX_EVENTS};
 use crate::metrics::MetricsCollector;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use vidur_core::metrics::QuantileMode;
 use vidur_core::shard::{ShardKey, ShardQueue, ShardStamper};
@@ -161,11 +159,6 @@ use vidur_scheduler::replica::CompletionEvent;
 use vidur_scheduler::{GlobalPolicyKind, Request, RouteRequest, RoutingTier};
 use vidur_workload::Trace;
 
-/// Entries per [`LogChunk`] before it ships to the merger.
-const CHUNK_ENTRIES: usize = 4096;
-/// In-flight chunks per shard channel: bounds memory (shards block when the
-/// merger falls behind) while keeping the pipeline full.
-const CHANNEL_DEPTH: usize = 4;
 /// Adaptive windows never grow beyond this (arrivals): past a few thousand
 /// arrivals the per-window overheads are fully amortized, while a rollback
 /// still only discards bounded work.
@@ -212,7 +205,9 @@ enum Effect {
     /// `metrics.on_kv_sample` for a replica.
     KvSample { replica: u32, utilization: f64 },
     /// `tier.on_finished` per finished event + `metrics.on_batch_complete`
-    /// over the next `n_events` events in the chunk's event stream.
+    /// over the next `n_events` events in the chunk's event stream. Under
+    /// the fold commit the events are the finished ones only, and a retire
+    /// that finishes nothing is not logged.
     Retire { replica: u32, n_events: u32 },
     /// `tier.set_free_kv_blocks` after a retire.
     FreeKv { replica: u32, free_blocks: u64 },
@@ -229,17 +224,14 @@ struct EntryRec {
     n_effects: u32,
 }
 
-/// A batch of logged entries with their flattened effect/event/id streams.
-/// Chunks recycle through a return channel, so steady-state logging does not
-/// allocate.
+/// One window attempt's log: the handled entries with their flattened
+/// effect/event/id streams. Reset, not reallocated, per attempt.
 #[derive(Default)]
 struct LogChunk {
     entries: Vec<EntryRec>,
     effects: Vec<Effect>,
     events: Vec<CompletionEvent>,
     ids: Vec<u64>,
-    /// Marks the shard's final chunk.
-    done: bool,
 }
 
 impl LogChunk {
@@ -248,37 +240,62 @@ impl LogChunk {
         self.effects.clear();
         self.events.clear();
         self.ids.clear();
-        self.done = false;
     }
 }
 
-/// [`EngineSink`] that appends effects to the chunk under construction
-/// instead of touching the collector.
+/// [`EngineSink`] that appends effects to the window log. Under the fold
+/// commit it owns the shard's collector (`fold`): metric calls apply to it
+/// directly, and the log keeps only the tier effects verify needs.
 struct LogSink {
     chunk: LogChunk,
+    fold: Option<MetricsCollector>,
+}
+
+impl LogSink {
+    /// A trace request arrived on this shard.
+    fn on_arrival(&mut self, now: SimTime, id: u64, decode_tokens: u64, tenant: u32) {
+        match &mut self.fold {
+            Some(metrics) => metrics.on_arrival(id, now, decode_tokens, tenant),
+            None => self.chunk.effects.push(Effect::Arrival {
+                id,
+                decode_tokens,
+                tenant,
+            }),
+        }
+    }
 }
 
 impl EngineSink for LogSink {
     fn on_batch_timed(&mut self, replica: usize, timing: &Arc<PlanTiming>) {
-        self.chunk.effects.push(Effect::OpSecs {
-            replica: replica as u32,
-            timing: Arc::clone(timing),
-        });
+        match &mut self.fold {
+            Some(metrics) => metrics.on_batch_timed(replica, timing),
+            None => self.chunk.effects.push(Effect::OpSecs {
+                replica: replica as u32,
+                timing: Arc::clone(timing),
+            }),
+        }
     }
     fn on_gpu_busy(&mut self, replica: usize, gpu_secs: f64) {
-        self.chunk.effects.push(Effect::GpuBusy {
-            replica: replica as u32,
-            gpu_secs,
-        });
+        match &mut self.fold {
+            Some(metrics) => metrics.on_gpu_busy(replica, gpu_secs),
+            None => self.chunk.effects.push(Effect::GpuBusy {
+                replica: replica as u32,
+                gpu_secs,
+            }),
+        }
     }
     fn on_batch_scheduled(
         &mut self,
         replica: usize,
-        _now: SimTime,
+        now: SimTime,
         batch: &BatchComposition,
         flops: f64,
         bytes: f64,
     ) {
+        if let Some(metrics) = &mut self.fold {
+            metrics.on_batch_scheduled(replica, now, batch, flops, bytes);
+            return;
+        }
         let mut first_n = 0u32;
         for slice in batch.slices() {
             // Same fast-path filter as `MetricsCollector::on_batch_scheduled`;
@@ -297,17 +314,31 @@ impl EngineSink for LogSink {
             first_n,
         });
     }
-    fn on_kv_sample(&mut self, replica: usize, _now: SimTime, utilization: f64) {
-        self.chunk.effects.push(Effect::KvSample {
-            replica: replica as u32,
-            utilization,
-        });
+    fn on_kv_sample(&mut self, replica: usize, now: SimTime, utilization: f64) {
+        match &mut self.fold {
+            Some(metrics) => metrics.on_kv_sample(replica, now, utilization),
+            None => self.chunk.effects.push(Effect::KvSample {
+                replica: replica as u32,
+                utilization,
+            }),
+        }
     }
-    fn on_batch_complete(&mut self, replica: usize, _now: SimTime, events: &[CompletionEvent]) {
-        self.chunk.events.extend_from_slice(events);
+    fn on_batch_complete(&mut self, replica: usize, now: SimTime, events: &[CompletionEvent]) {
+        let before = self.chunk.events.len();
+        match &mut self.fold {
+            Some(metrics) => {
+                metrics.on_batch_complete(replica, now, events);
+                let finished = events.iter().filter(|ev| ev.finished);
+                self.chunk.events.extend(finished);
+                if self.chunk.events.len() == before {
+                    return;
+                }
+            }
+            None => self.chunk.events.extend_from_slice(events),
+        }
         self.chunk.effects.push(Effect::Retire {
             replica: replica as u32,
-            n_events: events.len() as u32,
+            n_events: (self.chunk.events.len() - before) as u32,
         });
     }
 }
@@ -339,9 +370,9 @@ pub(crate) fn block_reason(config: &ClusterConfig, jitters: bool) -> Option<&'st
 
 /// Reusable sharded-run scratch hoisted onto the simulator: the `(arrival
 /// time, trace idx)`-sorted order, the per-arrival placements, and the
-/// windowed runner's per-shard log cursors. The windowed runner
-/// re-speculates into `targets` and re-walks the window logs every attempt,
-/// so keeping the buffers avoids per-attempt allocations.
+/// per-shard log cursors. The runner re-speculates into `targets` and
+/// re-walks the window logs every attempt, so keeping the buffers avoids
+/// per-attempt allocations.
 #[derive(Debug, Default)]
 pub(crate) struct ShardedScratch {
     order: Vec<u32>,
@@ -358,11 +389,6 @@ pub(crate) struct ShardedScratch {
 /// The arrival named in `forced` skips the policy and commits to the given
 /// replica — the retry path for a window whose earlier speculation
 /// misplaced it. Errs when the policy defers (see [`DEFER_ABORT`]).
-///
-/// This is the single pre-route used by both sharded paths: the streaming
-/// path calls it once on the *real* tier over the whole trace (stateless
-/// policies never read the view, so the guess is the truth), the windowed
-/// path calls it per window on a throwaway clone.
 fn speculate(
     tier: &mut RoutingTier,
     trace: &Trace,
@@ -390,14 +416,14 @@ fn speculate(
     Ok(())
 }
 
-/// Runs `sim`'s event loop sharded `num_shards` ways. On `Ok` the metrics
-/// collector, tier, and replicas are in the exact state a sequential
-/// `engine::drive` run would have left them in (exact/sketch modes, and
-/// stateful-policy runs in every mode) or the canonical merged-fold state
-/// (stateless mergeable mode), with the run's [`RunStats`]. On `Err` a
-/// stateful policy deferred a request mid-run: the simulator is torn (the
-/// caller rebuilds from its construction seed and re-runs sequentially) and
-/// the reason belongs in [`RunStats::fallback_reason`].
+/// Runs `sim`'s event loop sharded `num_shards` ways through the windowed
+/// runner. On `Ok` the metrics collector, tier, and replicas are in the
+/// exact state a sequential `engine::drive` run would have left them in
+/// (replay commit) or the canonical merged-fold state (fold commit), with
+/// the run's [`RunStats`]. On `Err` a stateful policy deferred a request
+/// mid-run: the simulator is torn (the caller rebuilds from its
+/// construction seed and re-runs sequentially) and the reason belongs in
+/// [`RunStats::fallback_reason`].
 pub(crate) fn run_sharded(
     sim: &mut ClusterSimulator,
     num_shards: usize,
@@ -429,192 +455,67 @@ pub(crate) fn run_sharded(
         .targets
         .resize_with(trace.requests.len(), AtomicU32::default);
 
-    let deadline = config.max_sim_time;
-    let timer = engine.timer().clone();
-
-    if !matches!(
+    let stateful = !matches!(
         config.global_policy,
         GlobalPolicyKind::RoundRobin | GlobalPolicyKind::Random
-    ) {
-        // Stateful policy: windowed speculate-and-verify.
-        let mut shards: Vec<SpecShard> = (0..num_shards)
-            .map(|shard| SpecShard {
-                shard,
-                num_shards,
-                core: EngineCore::with_timer(config, timer.clone(), seed),
-                replicas: Vec::new(),
-                queue: ShardQueue::new(),
-                processed: 0,
-                sink: LogSink {
-                    chunk: LogChunk::default(),
-                },
-                snapshot: None,
-                active: false,
-            })
-            .collect();
-        for (r, replica) in std::mem::take(replicas).into_iter().enumerate() {
-            shards[r % num_shards].replicas.push(replica);
-        }
-        let stats = run_windowed(
-            config,
-            trace,
-            &mut engine.metrics,
-            tier,
-            &mut shards,
-            scratch,
-            deadline,
-        )?;
-        *replicas = reassemble(
-            shards.into_iter().map(|s| s.replicas).collect(),
+    );
+    let fold = !stateful && engine.metrics.mode() == QuantileMode::Mergeable;
+    let timer = engine.timer().clone();
+    let mut shards: Vec<SpecShard> = (0..num_shards)
+        .map(|shard| SpecShard {
+            shard,
             num_shards,
-            config.num_replicas,
-        );
-        return Ok(stats);
-    }
-
-    // Stateless policy: pre-route everything on the real tier up front —
-    // round-robin/random placements depend only on router state, so
-    // replaying the calls draws the identical decision (and RNG) sequence
-    // the interleaved run would — then stream effects with no verification.
-    speculate(tier, trace, &scratch.order, None, &scratch.targets)?;
-
-    // Deal replicas round-robin onto shards (global replica r lives on
-    // shard r % k at local index r / k) and split the arrival list.
-    let mut shard_replicas: Vec<Vec<EngineReplica>> = (0..num_shards).map(|_| Vec::new()).collect();
+            core: EngineCore::with_timer(config, timer.clone(), seed),
+            replicas: Vec::new(),
+            queue: ShardQueue::new(),
+            processed: 0,
+            sink: LogSink {
+                chunk: LogChunk::default(),
+                fold: fold.then(|| fold_collector(config, trace)),
+            },
+            snapshot: None,
+            active: false,
+        })
+        .collect();
+    // Deal replicas round-robin onto shards: global replica r lives on shard
+    // r % k at local index r / k.
     for (r, replica) in std::mem::take(replicas).into_iter().enumerate() {
-        shard_replicas[r % num_shards].push(replica);
+        shards[r % num_shards].replicas.push(replica);
     }
-    let mut shard_arrivals: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-    for &idx in &scratch.order {
-        shard_arrivals[scratch.targets[idx as usize].load(Relaxed) as usize % num_shards].push(idx);
+    let stats = run_windowed(
+        config,
+        trace,
+        stateful,
+        &mut engine.metrics,
+        tier,
+        &mut shards,
+        scratch,
+    )?;
+    // Fold commit: merge the shard collectors into the engine's (empty)
+    // one, in shard order.
+    let mut per_shard = Vec::with_capacity(num_shards);
+    for shard in shards {
+        if let Some(collector) = shard.sink.fold {
+            engine.metrics.merge(collector);
+        }
+        per_shard.push(shard.replicas);
     }
+    *replicas = reassemble(per_shard, num_shards, config.num_replicas);
+    Ok(stats)
+}
 
-    let metrics = &mut engine.metrics;
-    let targets_ref: &[AtomicU32] = &scratch.targets;
-
-    let streamed = if metrics.mode() == QuantileMode::Mergeable {
-        // Fold-in-the-shards path: each shard owns a full-size collector
-        // and commits everything but the tier effects locally.
-        let (result_tx, result_rx) =
-            std::sync::mpsc::channel::<(usize, Vec<EngineReplica>, MetricsCollector)>();
-        let mut streams = Vec::with_capacity(num_shards);
-        let mut workers = Vec::with_capacity(num_shards);
-        for (shard, (replica_set, arrivals)) in
-            shard_replicas.into_iter().zip(shard_arrivals).enumerate()
-        {
-            let (log_tx, log_rx) = sync_channel::<TierChunk>(CHANNEL_DEPTH);
-            streams.push(TierStream::new(log_rx));
-            let core = EngineCore::with_timer(config, timer.clone(), seed);
-            // Every shard collector must be armed exactly like the engine's
-            // (tenants, SLO, time-series windows): the merged fold is only
-            // shard-count-invariant when all partials share one shape.
-            let mut collector =
-                MetricsCollector::with_mode(config.num_replicas, QuantileMode::Mergeable);
-            if !trace.tenants.is_empty() {
-                collector.set_tenants(&trace.tenants, config.tenant_slo);
-            }
-            if let Some(ts) = config.timeseries {
-                collector.set_timeseries(ts);
-            }
-            workers.push(MergeWorker {
-                shard,
-                num_shards,
-                config,
-                trace,
-                targets: targets_ref,
-                core,
-                replicas: replica_set,
-                arrivals,
-                deadline,
-                collector,
-                chunk: Vec::new(),
-                log_tx,
-                result_tx: result_tx.clone(),
-            });
-        }
-        drop(result_tx);
-
-        let streamed = rayon::scope(|scope| {
-            for worker in workers {
-                scope.spawn(move || worker.run());
-            }
-            // The tier merger runs on this thread, concurrently with the
-            // shards.
-            merge_tier(streams, tier, trace)
-        });
-
-        // Fold the per-shard collectors into the engine's (empty) collector
-        // in shard order, and put the replicas back in global order.
-        let mut collected: Vec<Option<(Vec<EngineReplica>, MetricsCollector)>> =
-            (0..num_shards).map(|_| None).collect();
-        for (shard, set, collector) in result_rx.iter() {
-            collected[shard] = Some((set, collector));
-        }
-        let mut per_shard = Vec::with_capacity(num_shards);
-        for entry in collected {
-            let (set, collector) = entry.expect("every shard returns its state");
-            metrics.merge(collector);
-            per_shard.push(set);
-        }
-        *replicas = reassemble(per_shard, num_shards, config.num_replicas);
-        streamed
-    } else {
-        // Full-replay path (exact/sketch modes): every metric effect streams
-        // to the merger and is replayed in exact sequential order.
-        let (result_tx, result_rx) = std::sync::mpsc::channel::<(usize, Vec<EngineReplica>)>();
-        let mut streams = Vec::with_capacity(num_shards);
-        let mut workers = Vec::with_capacity(num_shards);
-        for (shard, (replica_set, arrivals)) in
-            shard_replicas.into_iter().zip(shard_arrivals).enumerate()
-        {
-            let (log_tx, log_rx) = sync_channel::<LogChunk>(CHANNEL_DEPTH);
-            let (recycle_tx, recycle_rx) = sync_channel::<LogChunk>(CHANNEL_DEPTH);
-            streams.push(ShardStream::new(log_rx, recycle_tx));
-            let core = EngineCore::with_timer(config, timer.clone(), seed);
-            workers.push(ShardWorker {
-                shard,
-                num_shards,
-                config,
-                trace,
-                targets: targets_ref,
-                core,
-                replicas: replica_set,
-                arrivals,
-                deadline,
-                log_tx,
-                recycle_rx,
-                result_tx: result_tx.clone(),
-            });
-        }
-        drop(result_tx);
-
-        let streamed = rayon::scope(|scope| {
-            for worker in workers {
-                scope.spawn(move || worker.run());
-            }
-            // The merger runs on this thread, concurrently with the shards.
-            merge(streams, metrics, tier, trace)
-        });
-
-        // Put the replicas back in global order for preemption/quota
-        // reporting.
-        let mut collected: Vec<Option<Vec<EngineReplica>>> =
-            (0..num_shards).map(|_| None).collect();
-        for (shard, set) in result_rx.iter() {
-            collected[shard] = Some(set);
-        }
-        let per_shard = collected
-            .into_iter()
-            .map(|set| set.expect("every shard returns its replicas"))
-            .collect();
-        *replicas = reassemble(per_shard, num_shards, config.num_replicas);
-        streamed
-    };
-    Ok(RunStats {
-        shards: num_shards,
-        streamed_effects: streamed,
-        ..RunStats::default()
-    })
+/// A fold-commit shard's collector, armed exactly like the engine's
+/// (tenants, SLO, time-series windows): the merged fold is only
+/// shard-count-invariant when all partials share one shape.
+fn fold_collector(config: &ClusterConfig, trace: &Trace) -> MetricsCollector {
+    let mut collector = MetricsCollector::with_mode(config.num_replicas, QuantileMode::Mergeable);
+    if !trace.tenants.is_empty() {
+        collector.set_tenants(&trace.tenants, config.tenant_slo);
+    }
+    if let Some(ts) = config.timeseries {
+        collector.set_timeseries(ts);
+    }
+    collector
 }
 
 /// Puts shard-dealt replicas back in global order (global replica `r` was
@@ -636,85 +537,7 @@ fn reassemble(
         .collect()
 }
 
-/// One shard's independent simulation: a subset of replicas, a shard-local
-/// queue, an [`EngineCore`], and the effect log.
-struct ShardWorker<'a> {
-    shard: usize,
-    num_shards: usize,
-    config: &'a ClusterConfig,
-    trace: &'a Trace,
-    targets: &'a [AtomicU32],
-    core: EngineCore,
-    replicas: Vec<EngineReplica>,
-    arrivals: Vec<u32>,
-    deadline: Option<SimTime>,
-    log_tx: SyncSender<LogChunk>,
-    recycle_rx: Receiver<LogChunk>,
-    result_tx: std::sync::mpsc::Sender<(usize, Vec<EngineReplica>)>,
-}
-
-impl ShardWorker<'_> {
-    fn run(mut self) {
-        let mut queue: ShardQueue<SimEvent> = ShardQueue::new();
-        for &idx in &self.arrivals {
-            queue.push_arrival(
-                self.trace.requests[idx as usize].arrival,
-                idx as u64,
-                SimEvent::Arrival(idx),
-            );
-        }
-        let mut sink = LogSink {
-            chunk: LogChunk::default(),
-        };
-        let mut processed = 0u64;
-        while let Some((time, key, event)) = queue.pop() {
-            // Pops are time-nondecreasing, so the first event past the
-            // deadline means everything left is past it too. The sequential
-            // engine pops exactly one such event and drops it effect-free.
-            if self.deadline.is_some_and(|d| time > d) || processed >= MAX_EVENTS {
-                break;
-            }
-            let effects_before = sink.chunk.effects.len();
-            let pushes_before = queue.local_pushes();
-            shard_handle(
-                &mut self.core,
-                &mut self.replicas,
-                self.num_shards,
-                self.config,
-                self.trace,
-                self.targets,
-                time,
-                event,
-                &mut queue,
-                &mut sink,
-            );
-            sink.chunk.entries.push(EntryRec {
-                time,
-                key,
-                n_children: (queue.local_pushes() - pushes_before) as u32,
-                n_effects: (sink.chunk.effects.len() - effects_before) as u32,
-            });
-            processed += 1;
-            if sink.chunk.entries.len() >= CHUNK_ENTRIES {
-                let mut fresh = self.recycle_rx.try_recv().unwrap_or_default();
-                fresh.reset();
-                let full = std::mem::replace(&mut sink.chunk, fresh);
-                if self.log_tx.send(full).is_err() {
-                    break; // merger gone; nothing left to report into
-                }
-            }
-        }
-        let mut last = std::mem::take(&mut sink.chunk);
-        last.done = true;
-        let _ = self.log_tx.send(last);
-        let _ = self.result_tx.send((self.shard, self.replicas));
-    }
-}
-
-/// Handles one shard-local event, logging its effects into `sink`. Shared
-/// by the streaming [`ShardWorker`] and the windowed [`SpecShard`]; the
-/// mergeable-mode [`MergeWorker`] keeps its own copy (it sinks metric
-/// effects straight into a collector).
+/// Handles one shard-local event, logging its effects into `sink`.
 #[allow(clippy::too_many_arguments)]
 fn shard_handle(
     core: &mut EngineCore,
@@ -731,11 +554,7 @@ fn shard_handle(
     match event {
         SimEvent::Arrival(idx) => {
             let tr = trace.requests[idx as usize];
-            sink.chunk.effects.push(Effect::Arrival {
-                id: tr.id,
-                decode_tokens: tr.decode_tokens,
-                tenant: tr.tenant,
-            });
+            sink.on_arrival(now, tr.id, tr.decode_tokens, tr.tenant);
             let target = targets[idx as usize].load(Relaxed);
             let local = target as usize / num_shards;
             replicas[local].scheduler.add_request(
@@ -803,433 +622,11 @@ fn shard_try_schedule(
     );
 }
 
-/// A tier-relevant effect streamed in mergeable mode: the only state shards
-/// cannot commit locally. `Finished` drives the tier's per-tenant counters
-/// and live view; `FreeKv` is the per-replica free-block last-write.
-struct TierEffect {
-    time: SimTime,
-    kind: TierKind,
-}
-
-/// What a [`TierEffect`] applies to the tier.
-enum TierKind {
-    /// `tier.on_finished` for trace request `id` on `replica`.
-    Finished { replica: u32, id: u64 },
-    /// `tier.set_free_kv_blocks` after a retire.
-    FreeKv { replica: u32, free_blocks: u64 },
-}
-
-/// A batch of tier effects from one shard; `done` marks the final chunk.
-struct TierChunk {
-    effects: Vec<TierEffect>,
-    done: bool,
-}
-
-/// One shard's simulation in mergeable mode: same event loop as
-/// [`ShardWorker`], but effects sink straight into the shard's own
-/// [`MetricsCollector`]; only [`TierEffect`]s ship to the merger.
-struct MergeWorker<'a> {
-    shard: usize,
-    num_shards: usize,
-    config: &'a ClusterConfig,
-    trace: &'a Trace,
-    targets: &'a [AtomicU32],
-    core: EngineCore,
-    replicas: Vec<EngineReplica>,
-    arrivals: Vec<u32>,
-    deadline: Option<SimTime>,
-    collector: MetricsCollector,
-    chunk: Vec<TierEffect>,
-    log_tx: SyncSender<TierChunk>,
-    result_tx: std::sync::mpsc::Sender<(usize, Vec<EngineReplica>, MetricsCollector)>,
-}
-
-impl MergeWorker<'_> {
-    fn run(mut self) {
-        let mut queue: ShardQueue<SimEvent> = ShardQueue::new();
-        for &idx in &self.arrivals {
-            queue.push_arrival(
-                self.trace.requests[idx as usize].arrival,
-                idx as u64,
-                SimEvent::Arrival(idx),
-            );
-        }
-        let mut processed = 0u64;
-        while let Some((time, _key, event)) = queue.pop() {
-            if self.deadline.is_some_and(|d| time > d) || processed >= MAX_EVENTS {
-                break;
-            }
-            self.handle(time, event, &mut queue);
-            processed += 1;
-            if self.chunk.len() >= CHUNK_ENTRIES {
-                let full = std::mem::take(&mut self.chunk);
-                if self
-                    .log_tx
-                    .send(TierChunk {
-                        effects: full,
-                        done: false,
-                    })
-                    .is_err()
-                {
-                    break; // merger gone; nothing left to report into
-                }
-            }
-        }
-        let _ = self.log_tx.send(TierChunk {
-            effects: std::mem::take(&mut self.chunk),
-            done: true,
-        });
-        let _ = self
-            .result_tx
-            .send((self.shard, self.replicas, self.collector));
-    }
-
-    fn handle(&mut self, now: SimTime, event: SimEvent, queue: &mut ShardQueue<SimEvent>) {
-        match event {
-            SimEvent::Arrival(idx) => {
-                let tr = self.trace.requests[idx as usize];
-                self.collector
-                    .on_arrival(tr.id, now, tr.decode_tokens, tr.tenant);
-                let target = self.targets[idx as usize].load(Relaxed);
-                let local = target as usize / self.num_shards;
-                self.replicas[local].scheduler.add_request(
-                    Request::new(tr.id, tr.arrival, tr.prefill_tokens, tr.decode_tokens)
-                        .with_tenant(tr.tenant)
-                        .with_priority(tr.priority),
-                );
-                self.try_schedule(target, now, queue);
-            }
-            SimEvent::Wakeup(replica) => {
-                let local = replica as usize / self.num_shards;
-                self.replicas[local].clear_wakeup();
-                self.try_schedule(replica, now, queue);
-            }
-            SimEvent::BatchComplete(replica, id) => {
-                let local = replica as usize / self.num_shards;
-                let chunk = &mut self.chunk;
-                self.core.retire_batch(
-                    &mut self.replicas[local],
-                    replica as usize,
-                    id,
-                    now,
-                    queue,
-                    &mut self.collector,
-                    |ev, _queue| {
-                        if ev.finished {
-                            chunk.push(TierEffect {
-                                time: now,
-                                kind: TierKind::Finished { replica, id: ev.id },
-                            });
-                        }
-                    },
-                );
-                self.chunk.push(TierEffect {
-                    time: now,
-                    kind: TierKind::FreeKv {
-                        replica,
-                        free_blocks: self.replicas[local].scheduler.blocks().free_blocks(),
-                    },
-                });
-                self.try_schedule(replica, now, queue);
-            }
-            SimEvent::Fault(_) | SimEvent::AutoscaleTick | SimEvent::WarmupDone(_) => {
-                unreachable!("elastic runs are rejected by the fast-path eligibility check")
-            }
-        }
-    }
-
-    fn try_schedule(&mut self, replica: u32, now: SimTime, queue: &mut ShardQueue<SimEvent>) {
-        let local = replica as usize / self.num_shards;
-        let config = self.config;
-        self.core.try_schedule(
-            &mut self.replicas[local],
-            replica as usize,
-            now,
-            queue,
-            &mut self.collector,
-            |batch| batch_bytes(config, batch),
-            || SimEvent::Wakeup(replica),
-            |id| SimEvent::BatchComplete(replica, id),
-        );
-    }
-}
-
-/// Merger-side view of one shard's tier-effect stream.
-struct TierStream {
-    rx: Receiver<TierChunk>,
-    chunk: Option<TierChunk>,
-    idx: usize,
-    finished: bool,
-}
-
-impl TierStream {
-    fn new(rx: Receiver<TierChunk>) -> Self {
-        TierStream {
-            rx,
-            chunk: None,
-            idx: 0,
-            finished: false,
-        }
-    }
-
-    /// Time of the stream's next uncommitted effect, receiving chunks as
-    /// needed. Blocks only while the shard is still producing.
-    fn ensure_head(&mut self) -> Option<SimTime> {
-        loop {
-            if self.finished {
-                return None;
-            }
-            if let Some(chunk) = &self.chunk {
-                if self.idx < chunk.effects.len() {
-                    return Some(chunk.effects[self.idx].time);
-                }
-                if chunk.done {
-                    self.finished = true;
-                    self.chunk = None;
-                    return None;
-                }
-                self.chunk = None;
-            }
-            match self.rx.recv() {
-                Ok(chunk) => {
-                    self.chunk = Some(chunk);
-                    self.idx = 0;
-                }
-                Err(_) => {
-                    self.finished = true;
-                    return None;
-                }
-            }
-        }
-    }
-}
-
-/// Applies all shard tier effects to the tier in `(time, shard)` order and
-/// returns how many were streamed. Exact global sequence numbers are
-/// unnecessary here: `on_finished` is commutative integer bookkeeping and
-/// `set_free_kv_blocks` is single-writer per replica (each replica's stream
-/// order is preserved within its shard), so this coarser deterministic
-/// order reaches the same final tier state.
-fn merge_tier(mut streams: Vec<TierStream>, tier: &mut RoutingTier, trace: &Trace) -> u64 {
-    let mut committed = 0u64;
-    loop {
-        let mut best: Option<(usize, SimTime)> = None;
-        for (s, stream) in streams.iter_mut().enumerate() {
-            if let Some(t) = stream.ensure_head() {
-                if best.is_none_or(|(_, bt)| t < bt) {
-                    best = Some((s, t));
-                }
-            }
-        }
-        let Some((s, _)) = best else {
-            break;
-        };
-        let stream = &mut streams[s];
-        let chunk = stream.chunk.as_ref().expect("head implies a chunk");
-        match chunk.effects[stream.idx].kind {
-            TierKind::Finished { replica, id } => {
-                let tr = trace.requests[id as usize];
-                tier.on_finished(
-                    replica as usize,
-                    tr.tenant,
-                    tr.prefill_tokens + tr.decode_tokens,
-                );
-            }
-            TierKind::FreeKv {
-                replica,
-                free_blocks,
-            } => tier.set_free_kv_blocks(replica as usize, free_blocks),
-        }
-        stream.idx += 1;
-        committed += 1;
-    }
-    committed
-}
-
-/// Merger-side view of one shard's chunk stream.
-struct ShardStream {
-    rx: Receiver<LogChunk>,
-    recycle: SyncSender<LogChunk>,
-    chunk: Option<LogChunk>,
-    entry: usize,
-    effect: usize,
-    event: usize,
-    id: usize,
-    /// Resolved `(time, global_seq)` of the next uncommitted entry.
-    head: Option<(SimTime, u64)>,
-    finished: bool,
-    stamper: ShardStamper,
-}
-
-impl ShardStream {
-    fn new(rx: Receiver<LogChunk>, recycle: SyncSender<LogChunk>) -> Self {
-        ShardStream {
-            rx,
-            recycle,
-            chunk: None,
-            entry: 0,
-            effect: 0,
-            event: 0,
-            id: 0,
-            head: None,
-            finished: false,
-            stamper: ShardStamper::new(),
-        }
-    }
-
-    /// Resolves the stream's next head, receiving chunks as needed. Blocks
-    /// only when the shard is still producing.
-    fn ensure_head(&mut self) {
-        if self.finished || self.head.is_some() {
-            return;
-        }
-        loop {
-            if let Some(chunk) = &self.chunk {
-                if self.entry < chunk.entries.len() {
-                    let e = chunk.entries[self.entry];
-                    self.head = Some((e.time, self.stamper.resolve(e.key)));
-                    return;
-                }
-                if chunk.done {
-                    self.finished = true;
-                    self.chunk = None;
-                    return;
-                }
-                let mut spent = self.chunk.take().expect("checked above");
-                spent.reset();
-                let _ = self.recycle.try_send(spent);
-            }
-            match self.rx.recv() {
-                Ok(chunk) => {
-                    self.chunk = Some(chunk);
-                    self.entry = 0;
-                    self.effect = 0;
-                    self.event = 0;
-                    self.id = 0;
-                }
-                Err(_) => {
-                    self.finished = true;
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Streams all shard logs into the collector and tier in exact global
-/// `(time, seq)` order. Returns the number of effects replayed — the serial
-/// commit volume the mergeable mode shrinks.
-fn merge(
-    mut streams: Vec<ShardStream>,
-    metrics: &mut MetricsCollector,
-    tier: &mut RoutingTier,
-    trace: &Trace,
-) -> u64 {
-    let mut counter = trace.requests.len() as u64;
-    let mut committed = 0u64;
-    loop {
-        // Linear min-scan: shard counts are small (<= replicas), so a heap
-        // of heads would cost more than it saves.
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (s, stream) in streams.iter_mut().enumerate() {
-            stream.ensure_head();
-            if let Some(head) = stream.head {
-                if best.is_none_or(|(_, b)| head < b) {
-                    best = Some((s, head));
-                }
-            }
-        }
-        let Some((best, _)) = best else {
-            break;
-        };
-        committed += commit(&mut streams[best], metrics, tier, trace, &mut counter);
-    }
-    // Leftover stamps are normal on truncated runs (deadline / event
-    // budget): committed entries claim seqs for children past the cutoff
-    // that their shard never pops. A run that drains fully consumes all of
-    // them, but the merge cannot tell the cases apart, so no assertion.
-    committed
-}
-
-/// Commits one entry: claims its children's global seqs and replays its
-/// effects into the collector/tier, in logged (= sequential call) order.
-/// Returns the number of effects replayed.
-fn commit(
-    stream: &mut ShardStream,
-    metrics: &mut MetricsCollector,
-    tier: &mut RoutingTier,
-    trace: &Trace,
-    counter: &mut u64,
-) -> u64 {
-    let (time, _seq) = stream.head.take().expect("commit needs a head");
-    let chunk = stream.chunk.as_ref().expect("head implies a chunk");
-    let entry = chunk.entries[stream.entry];
-    stream.entry += 1;
-    stream
-        .stamper
-        .claim_children(entry.n_children as u64, counter);
-    for effect in &chunk.effects[stream.effect..stream.effect + entry.n_effects as usize] {
-        match effect {
-            Effect::Arrival {
-                id,
-                decode_tokens,
-                tenant,
-            } => metrics.on_arrival(*id, time, *decode_tokens, *tenant),
-            Effect::OpSecs { replica, timing } => {
-                metrics.on_op_secs(*replica as usize, timing.op_secs())
-            }
-            Effect::GpuBusy { replica, gpu_secs } => {
-                metrics.on_gpu_busy(*replica as usize, *gpu_secs)
-            }
-            Effect::BatchWork {
-                replica,
-                tokens,
-                requests,
-                flops,
-                bytes,
-                first_n,
-            } => {
-                metrics.on_batch_work(*replica as usize, *tokens, *requests, *flops, *bytes);
-                for &id in &chunk.ids[stream.id..stream.id + *first_n as usize] {
-                    metrics.mark_first_scheduled(id, time);
-                }
-                stream.id += *first_n as usize;
-            }
-            Effect::KvSample {
-                replica,
-                utilization,
-            } => metrics.on_kv_sample(*replica as usize, time, *utilization),
-            Effect::Retire { replica, n_events } => {
-                let events = &chunk.events[stream.event..stream.event + *n_events as usize];
-                for ev in events {
-                    if ev.finished {
-                        let tr = trace.requests[ev.id as usize];
-                        tier.on_finished(
-                            *replica as usize,
-                            tr.tenant,
-                            tr.prefill_tokens + tr.decode_tokens,
-                        );
-                    }
-                }
-                metrics.on_batch_complete(*replica as usize, time, events);
-                stream.event += *n_events as usize;
-            }
-            Effect::FreeKv {
-                replica,
-                free_blocks,
-            } => tier.set_free_kv_blocks(*replica as usize, *free_blocks),
-        }
-    }
-    stream.effect += entry.n_effects as usize;
-    entry.n_effects as u64
-}
-
-/// One shard of the windowed speculate-and-verify runner. Unlike
-/// [`ShardWorker`] it lives across windows: between attempts the merger
-/// owns it (verify, rollback, re-admit); during an attempt it is moved to
-/// its persistent worker thread (or run inline on the merger thread) and
-/// logs into its in-memory window chunk — the whole window log comes back
-/// with the shard.
+/// One shard of the windowed speculate-and-verify runner. It lives across
+/// windows: between attempts the merger owns it (verify, rollback,
+/// re-admit); during an attempt it is moved to its persistent worker thread
+/// (or run inline on the merger thread) and logs into its in-memory window
+/// chunk — the whole window log comes back with the shard.
 struct SpecShard {
     shard: usize,
     num_shards: usize,
@@ -1237,9 +634,10 @@ struct SpecShard {
     replicas: Vec<EngineReplica>,
     queue: ShardQueue<SimEvent>,
     /// Events handled so far (persists across windows; the [`MAX_EVENTS`]
-    /// backstop is per shard, as on the streaming path).
+    /// backstop is per shard).
     processed: u64,
-    /// The current window's effect log (the chunk is reset per attempt).
+    /// The current window's effect log (the chunk is reset per attempt) and,
+    /// under the fold commit, the shard's collector.
     sink: LogSink,
     /// Pre-attempt checkpoint, taken only by attempts that can mispredict;
     /// restored on rollback.
@@ -1250,10 +648,11 @@ struct SpecShard {
     active: bool,
 }
 
-/// Everything a window can change on a shard. The replica and queue state
-/// is sized by live requests and pending events (the runtime source behind
-/// the core's timer is shared, not copied), and the queue snapshot pops
-/// the exact same sequence as the original.
+/// Everything a window can change on a shard (a fold-commit collector
+/// aside: fold runs are stateless and never checkpoint). The replica and
+/// queue state is sized by live requests and pending events (the runtime
+/// source behind the core's timer is shared, not copied), and the queue
+/// snapshot pops the exact same sequence as the original.
 struct SpecSnapshot {
     core: EngineCore,
     replicas: Vec<EngineReplica>,
@@ -1360,14 +759,13 @@ impl SpecShard {
 /// hand-off).
 type Returned = std::thread::Result<SpecShard>;
 
-/// The windowed runner's persistent shard workers: spawned once per run,
-/// waiting on their job channel between attempts. With `t` threads — the
-/// merger plus `t - 1` workers, at most one per core — shard `s` always
-/// runs on thread `s % t`, thread 0 being the merger itself. Each shard's
-/// state stays warm in one thread's cache, more shards than cores never
-/// oversubscribe the host, and an attempt costs a channel hand-off per
-/// active shard off the merger thread instead of an OS thread spawn per
-/// shard.
+/// The runner's persistent shard workers: spawned once per run, waiting on
+/// their job channel between attempts. With `t` threads — the merger plus
+/// `t - 1` workers, at most one per core — shard `s` always runs on thread
+/// `s % t`, thread 0 being the merger itself. Each shard's state stays warm
+/// in one thread's cache, more shards than cores never oversubscribe the
+/// host, and an attempt costs a channel hand-off per active shard off the
+/// merger thread instead of an OS thread spawn per shard.
 struct ShardPool<'a> {
     jobs: Vec<Sender<(SpecShard, Attempt<'a>)>>,
     done: Receiver<Returned>,
@@ -1543,26 +941,31 @@ impl WindowGovernor {
 }
 
 /// Drives the windowed speculate-and-verify loop to completion. On `Ok` the
-/// collector and tier hold the exact sequential-run state; on `Err` a
-/// policy deferred and the caller falls back (the simulator is torn).
+/// tier holds the exact sequential-run state, and so does `metrics` under
+/// the replay commit (under the fold commit the shard collectors hold the
+/// metrics instead); on `Err` a policy deferred and the caller falls back
+/// (the simulator is torn).
 ///
 /// Each window is attempted at most twice. The first attempt speculates
 /// every placement; if the verify pass finds a mismatch, the window is cut
 /// back to end *at* the mispredicted arrival and retried with that arrival
 /// forced to its verified target. The retry re-speculates the verified
 /// prefix identically, so it cannot mispredict — like a one-arrival window,
-/// whose only placement is made against the exactly-committed tier — and
-/// neither takes a checkpoint.
+/// whose only placement is made against the exactly-committed tier, and
+/// like every window of a stateless policy — and none of these takes a
+/// checkpoint.
 fn run_windowed(
     config: &ClusterConfig,
     trace: &Trace,
+    stateful: bool,
     metrics: &mut MetricsCollector,
     tier: &mut RoutingTier,
     shards: &mut Vec<SpecShard>,
     scratch: &mut ShardedScratch,
-    deadline: Option<SimTime>,
 ) -> Result<RunStats, &'static str> {
     let num_shards = shards.len();
+    let fold = shards.iter().any(|s| s.sink.fold.is_some());
+    let deadline = config.max_sim_time;
     let ShardedScratch {
         order,
         targets,
@@ -1607,7 +1010,7 @@ fn run_windowed(
                 // rollback reproduces the identical unforced prefix (same
                 // tier state, same deterministic policy).
                 speculate(&mut tier.clone(), trace, window, forced, targets)?;
-                let checkpoint = window.len() > 1 && forced.is_none();
+                let checkpoint = stateful && window.len() > 1 && forced.is_none();
                 for shard in shards.iter_mut() {
                     let has_arrival = window.iter().any(|&idx| {
                         targets[idx as usize].load(Relaxed) as usize % num_shards == shard.shard
@@ -1640,10 +1043,16 @@ fn run_windowed(
                     &mut commit_order,
                 )? {
                     None => {
-                        // The window is exact; replay its metric effects in
-                        // the verified global order.
-                        stats.streamed_effects +=
-                            commit_metrics(shards, metrics, cursors, &commit_order);
+                        // The window is exact. Replay commit: replay its
+                        // metric effects in the verified global order. Fold
+                        // commit: the shards already applied them, and only
+                        // the tier effects verify consumed crossed over.
+                        stats.streamed_effects += if fold {
+                            let logged = shards.iter().filter(|s| s.active);
+                            logged.map(|s| s.sink.chunk.effects.len() as u64).sum()
+                        } else {
+                            commit_metrics(shards, metrics, cursors, &commit_order)
+                        };
                         break;
                     }
                     Some((idx, actual)) => {
@@ -1680,8 +1089,8 @@ fn run_windowed(
 /// `(time, seq)` order, replaying every routing decision on the live tier
 /// at its exact sequential position and applying the tier effects
 /// (`on_finished`, `set_free_kv_blocks`) along the way. Metric effects are
-/// untouched — they commit only after the whole window verifies, so a
-/// mid-window mismatch needs no collector snapshot.
+/// untouched — under the replay commit they commit only after the whole
+/// window verifies, so a mid-window mismatch needs no collector snapshot.
 ///
 /// Returns `Ok(None)` when every placement matched (with `commit_order`
 /// holding the shard sequence for the commit pass), `Ok(Some((idx,
@@ -1699,7 +1108,8 @@ fn verify_window(
 ) -> Result<Option<(u32, u32)>, &'static str> {
     reset_cursors(cursors, shards.len());
     loop {
-        // Linear min-scan over resolved heads, as in `merge`.
+        // Linear min-scan over resolved heads: shard counts are small
+        // (<= replicas), so a heap of heads would cost more than it saves.
         let mut best: Option<(usize, (SimTime, u64))> = None;
         for (s, shard) in shards.iter().enumerate() {
             if !shard.active {
@@ -1772,7 +1182,7 @@ fn verify_window(
     }
 }
 
-/// The commit pass: replays a verified window's *metric* effects into the
+/// The replay commit: replays a verified window's *metric* effects into the
 /// collector, following the shard sequence the verify pass recorded — the
 /// collector receives the byte-identical call sequence of a sequential run.
 /// Tier effects were already applied during verification and are skipped.

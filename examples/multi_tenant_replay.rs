@@ -13,11 +13,12 @@
 //!    per-tenant latency/SLO/routing breakdowns.
 //!
 //! 5. Replay the same trace on the parallel sharded engine (estimator
-//!    runtimes) twice — round-robin on the streaming fast path, then
-//!    least-outstanding on the windowed speculate-and-verify path — assert
-//!    both reports are byte-identical to the sequential engine's, and print
-//!    the speculation counters (windows, mispredictions, rollbacks) and any
-//!    fallback reason. For scale: on the perfbench `stateful_sharded`
+//!    runtimes) twice through its speculate-and-verify windows —
+//!    round-robin, whose windows never mispredict, then least-outstanding,
+//!    whose windows checkpoint and may roll back — assert both reports are
+//!    byte-identical to the sequential engine's, and print the speculation
+//!    counters (windows, mispredictions, rollbacks) and any fallback
+//!    reason. For scale: on the perfbench `stateful_sharded`
 //!    replay (5k steady-state requests, least-outstanding, 2 shards on a
 //!    2-vCPU host) the counters read 4,187 windows, 435 mispredictions and
 //!    38,367 events rolled back against 123,599 committed — 0.76 of all
@@ -25,7 +26,7 @@
 //!    the same replay rolled back 329,845 (0.27 useful).
 //! 6. With `VIDUR_MERGEABLE=1`, rerun the sharded replay in the mergeable
 //!    metrics mode — latency sketches fold inside the shards, only tier
-//!    effects stream to the merger — assert the report is invariant across
+//!    effects reach the merger — assert the report is invariant across
 //!    shard counts, and print the per-minute time-series table.
 //! 7. With `VIDUR_FAULTS=1`, replay once more under an elastic fleet: a
 //!    fault plan crashes and recovers one replica mid-run, degrades another
@@ -183,12 +184,12 @@ fn main() {
         "every request routes through the tier exactly once"
     );
 
-    // 5. The parallel sharded engine, both fast paths: round-robin streams
-    // pre-routed effects with no verification; least-outstanding reads the
-    // live load view, so the sharded engine speculates window placements
-    // and verifies each one at its exact sequential position. Either way
-    // the contract holds: reports agree bit for bit, only wall-clock
-    // changes.
+    // 5. The parallel sharded engine speculates window placements and
+    // verifies each one at its exact sequential position. Round-robin never
+    // reads the live load view, so its speculation is always right;
+    // least-outstanding does, so its windows checkpoint and may roll back.
+    // Either way the contract holds: reports agree bit for bit, only
+    // wall-clock changes.
     let shards: usize = std::env::var("VIDUR_SHARDS")
         .map(|v| v.parse().expect("VIDUR_SHARDS must be a number"))
         .unwrap_or(6);
@@ -256,7 +257,7 @@ fn main() {
     }
 
     // 6. Mergeable metrics: fold the latency sketches inside the shards and
-    // stream only tier effects to the merger. Reports are invariant under
+    // log only tier effects for the merger. Reports are invariant under
     // the shard count (byte-identical to a one-shard run) and carry the
     // windowed time series.
     if std::env::var("VIDUR_MERGEABLE").as_deref() == Ok("1") {

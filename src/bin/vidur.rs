@@ -88,6 +88,20 @@ fn get<T: std::str::FromStr>(
     }
 }
 
+/// Like [`get`], for counts that must be at least 1.
+fn get_positive<T: std::str::FromStr + PartialOrd + Default>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    let value = get(flags, key, default)?;
+    if value > T::default() {
+        Ok(value)
+    } else {
+        Err(format!("--{key} must be at least 1"))
+    }
+}
+
 fn cmd_models() -> ExitCode {
     println!(
         "{:<14} {:>8} {:>7} {:>9} {:>9} {:>6} {:>12}",
@@ -126,8 +140,8 @@ fn build_config(flags: &HashMap<String, String>) -> Result<ClusterConfig, String
     let sku = GpuSku::by_name(&sku_name).ok_or(format!("unknown SKU '{sku_name}'"))?;
     let tp: u32 = get(flags, "tp", 1)?;
     let pp: u32 = get(flags, "pp", 1)?;
-    let replicas: usize = get(flags, "replicas", 1)?;
-    let chunk: u64 = get(flags, "chunk", 512)?;
+    let replicas: usize = get_positive(flags, "replicas", 1)?;
+    let chunk: u64 = get_positive(flags, "chunk", 512)?;
     let scheduler_name: String = get(flags, "scheduler", "sarathi".to_string())?;
     let policy = match scheduler_name.as_str() {
         "vllm" => BatchPolicyKind::Vllm,
@@ -137,7 +151,7 @@ fn build_config(flags: &HashMap<String, String>) -> Result<ClusterConfig, String
         "lightllm" => BatchPolicyKind::LightLlm,
         other => return Err(format!("unknown scheduler '{other}'")),
     };
-    let batch_size: usize = get(flags, "batch-size", 64)?;
+    let batch_size: usize = get_positive(flags, "batch-size", 64)?;
     let par = ParallelismConfig::new(tp, pp);
     par.validate_for(&model).map_err(|e| e.to_string())?;
     let config = ClusterConfig::new(
@@ -157,6 +171,11 @@ fn build_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
         .ok_or(format!("unknown workload '{workload_name}'"))?;
     let requests: usize = get(flags, "requests", 200)?;
     let qps: f64 = get(flags, "qps", 1.0)?;
+    if !(qps.is_finite() && qps >= 0.0) {
+        return Err(format!(
+            "--qps must be a finite rate >= 0 (0 = offline), got {qps}"
+        ));
+    }
     let seed: u64 = get(flags, "seed", 42)?;
     let arrivals = if qps > 0.0 {
         ArrivalProcess::Poisson { qps }
@@ -292,6 +311,56 @@ fn cmd_search(args: &[String]) -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
+        pairs
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn build_config_accepts_defaults() {
+        let config = build_config(&flags(&[])).expect("defaults are valid");
+        assert_eq!(config.num_replicas, 1);
+    }
+
+    #[test]
+    fn build_config_rejects_zero_counts() {
+        for (key, scheduler) in [
+            ("replicas", "sarathi"),
+            ("batch-size", "sarathi"),
+            ("batch-size", "vllm"),
+            ("chunk", "sarathi"),
+        ] {
+            let err = build_config(&flags(&[(key, "0"), ("scheduler", scheduler)]))
+                .expect_err("a zero count must be rejected");
+            assert_eq!(err, format!("--{key} must be at least 1"));
+        }
+    }
+
+    #[test]
+    fn build_trace_rejects_negative_and_non_finite_qps() {
+        for qps in ["-1", "-0.5", "NaN", "inf", "-inf"] {
+            let err = build_trace(&flags(&[("qps", qps), ("requests", "4")]))
+                .expect_err("a bad rate must be rejected");
+            assert!(err.starts_with("--qps must be"), "{qps}: {err}");
+        }
+    }
+
+    #[test]
+    fn build_trace_accepts_offline_and_poisson_rates() {
+        for qps in ["0", "2.5"] {
+            let trace = build_trace(&flags(&[("qps", qps), ("requests", "4")]))
+                .expect("a finite non-negative rate is valid");
+            assert_eq!(trace.len(), 4);
         }
     }
 }

@@ -392,16 +392,33 @@ fn estimator_source() -> RuntimeSource {
 
 /// Runs `cfg` over `trace` sequentially and with `shards` event-loop
 /// shards; the reports must be **byte-identical** — the sharded engine's
-/// whole contract (see `vidur_simulator::sharded`).
+/// whole contract (see `vidur_simulator::sharded`). The callers route
+/// statelessly (round-robin/random), so the sharded run must also engage
+/// all `shards` on the speculate-and-verify windows and never mispredict or
+/// roll back.
 fn assert_sharded_identical(label: &str, cfg: ClusterConfig, trace: Trace, shards: usize) {
     let source = estimator_source();
     let sequential = ClusterSimulator::new(cfg.clone(), trace.clone(), source.clone(), 5).run();
     let mut sharded_cfg = cfg;
     sharded_cfg.shards = shards;
-    let sharded = ClusterSimulator::new(sharded_cfg, trace, source, 5).run();
+    let (sharded, stats) = ClusterSimulator::new(sharded_cfg, trace, source, 5).run_with_stats();
     assert_eq!(
         sequential, sharded,
         "{label}: sharded run must be bit-exact"
+    );
+    assert_eq!(
+        stats.shards, shards,
+        "{label}: requested shards must engage"
+    );
+    assert_eq!(stats.fallback_reason, None, "{label}: no fallback");
+    assert!(stats.spec_windows > 0, "{label}: must run windowed");
+    assert_eq!(
+        stats.mispredictions, 0,
+        "{label}: stateless never mispredicts"
+    );
+    assert_eq!(
+        stats.rollback_events, 0,
+        "{label}: stateless never rolls back"
     );
 }
 
@@ -681,8 +698,8 @@ fn rng_v2_jitter_fingerprint_pinned() {
 /// Under `rng_version: 2` each replica owns a forked jitter stream whose
 /// draw order depends only on that replica's schedule sequence — which is
 /// identical for any shard count — so jittered oracle runs join the sharded
-/// fast path: byte-identical on both the streaming (round-robin) and the
-/// speculative (least-outstanding) paths.
+/// fast path: byte-identical under both stateless (round-robin) and
+/// stateful (least-outstanding) routing.
 #[test]
 fn sharded_jittered_v2_identical() {
     for policy in [
@@ -771,6 +788,29 @@ fn mergeable_reports_invariant_across_shard_counts() {
         assert_eq!(
             baseline, sharded,
             "mergeable report must be byte-identical at {shards} shards"
+        );
+    }
+
+    // Fold commit under a deadline: an overload the 15 s cap truncates.
+    // Shards stop at the cap independently; the folded report must not
+    // depend on where they stopped relative to one another.
+    cfg.max_sim_time = Some(SimTime::from_secs_f64(15.0));
+    let trace = fixed_trace(900, 80.0, 53);
+    let run = |shards: usize| {
+        let mut cfg = cfg.clone();
+        cfg.shards = shards;
+        ClusterSimulator::new(cfg, trace.clone(), source.clone(), 5).run()
+    };
+    let baseline = run(1);
+    assert!(
+        baseline.completed < 900,
+        "deadline scenario must actually truncate"
+    );
+    for shards in [2, 3, 7] {
+        assert_eq!(
+            baseline,
+            run(shards),
+            "truncated mergeable report must be byte-identical at {shards} shards"
         );
     }
 }
