@@ -44,11 +44,15 @@
 //!
 //! Stateless policies (round-robin, random) are the case that never
 //! mispredicts: they are deterministic functions of their own router state
-//! and never read the live view, so speculating against the committed tier
-//! draws the identical decision (and RNG) sequence the verify pass does.
-//! Their attempts never checkpoint; verify still replays each route on the
-//! real tier, so an impossible mismatch trips an assertion rather than
-//! diverging silently.
+//! and never read the live view, so speculating against any copy of the
+//! tier that has routed the same arrivals draws the identical decision (and
+//! RNG) sequence the verify pass does. Their windows never checkpoint and
+//! are *pipelined*: speculation runs ahead against a persistent tier copy,
+//! each shard runs window after window without waiting for the others, and
+//! the merger verifies and commits the oldest window every shard has
+//! finished while the shards simulate later ones. Verify still replays each
+//! route on the real tier, so an impossible mismatch trips an assertion
+//! rather than diverging silently.
 //!
 //! # Determinism argument
 //!
@@ -81,7 +85,9 @@
 //!   sequential engine calls, in the verified global order — f64
 //!   accumulation order, quantile-digest streams, and per-tenant
 //!   bookkeeping included. The collector sees the byte-identical call
-//!   sequence of a sequential run.
+//!   sequence of a sequential run. A stateless window cannot mispredict, so
+//!   its replay runs inside the verify pass; a stateful window's waits
+//!   until the whole window has verified.
 //! * **Fold** (stateless policy under [`QuantileMode::Mergeable`]): replay
 //!   re-executes every metric effect serially, so the merger is the scaling
 //!   ceiling. Under mergeable metrics the collector's state is a pure fold
@@ -101,24 +107,27 @@
 //!
 //! # Windows and workers
 //!
-//! Window sizes come from a rollback-aware [`WindowGovernor`]. Windows start
-//! at one arrival; a mispredicted window halves the next one, and a clean
-//! window doubles it only while the events rolled back over the last few
-//! windows stay a small fraction of the events committed over them. All
-//! inputs are event counts, so the window sequence — and [`RunStats`] — is
-//! reproducible on any host. The floor is exact and cheap: speculation over
-//! a single arrival against the committed tier *is* the sequential
-//! decision, so a one-arrival window (like a cut-back retry) cannot
-//! mispredict and takes no checkpoint at all. A misprediction storm
+//! Stateful window sizes come from a rollback-aware [`WindowGovernor`].
+//! Windows start at one arrival; a mispredicted window halves the next one,
+//! and a clean window doubles it only while the events rolled back over the
+//! last few windows stay a small fraction of the events committed over
+//! them. All inputs are event counts, so the window sequence — and
+//! [`RunStats`] — is reproducible on any host. The floor is exact and
+//! cheap: speculation over a single arrival against the committed tier *is*
+//! the sequential decision, so a one-arrival window (like a cut-back retry)
+//! cannot mispredict and takes no checkpoint at all. A misprediction storm
 //! therefore degrades to checkpoint-free one-arrival windows that still run
-//! sharded, never to thrashing. [`ClusterConfig::spec_window`] pins the
-//! size for tests that want to force misprediction pressure.
+//! sharded, never to thrashing. Stateless windows simply double from one
+//! arrival up to `PIPELINE_WINDOW`. [`ClusterConfig::spec_window`] pins
+//! the size for tests that want to force misprediction pressure.
 //!
 //! Shards run on persistent workers spawned once per run ([`ShardPool`]),
-//! at most one thread per core with the merger thread running its share
-//! of shards inline; an attempt hands every other active shard over a
-//! channel to a worker that polls briefly before parking. Per-window cost
-//! is therefore a hand-off, not an OS thread spawn.
+//! at most one thread per core, and an attempt hands a shard over a channel
+//! to its worker; per-window cost is a hand-off, not an OS thread spawn.
+//! A stateful run's merger runs its share of the shards inline, since it
+//! has nothing else to do until the attempt is back. A stateless run's
+//! merger runs no shard: it verifies and commits while every worker
+//! simulates.
 //!
 //! Deferred binds are the one thing speculation cannot honor: a deferral
 //! parks the request centrally and binds it on a *later* event, possibly on
@@ -163,6 +172,14 @@ use vidur_workload::Trace;
 /// arrivals the per-window overheads are fully amortized, while a rollback
 /// still only discards bounded work.
 const MAX_WINDOW: usize = 4096;
+/// Windows a stateless run's shards may run ahead of the oldest window
+/// still unverified (see [`WindowRun::run_pipelined`]).
+const PIPELINE_DEPTH: usize = 3;
+/// Stateless windows grow to this many arrivals, not [`MAX_WINDOW`]: up to
+/// [`PIPELINE_DEPTH`] windows of logs are held per shard. On a 2-vCPU host
+/// 4096-arrival windows ran no faster than 512 and raised
+/// `fleet_mergeable`'s peak RSS by about 20%.
+const PIPELINE_WINDOW: usize = 512;
 /// Windows the [`WindowGovernor`] looks back over.
 const GOVERNOR_SAMPLES: usize = 16;
 /// Rolled-back events per committed event, over the governor's look-back,
@@ -623,10 +640,11 @@ fn shard_try_schedule(
 }
 
 /// One shard of the windowed speculate-and-verify runner. It lives across
-/// windows: between attempts the merger owns it (verify, rollback,
-/// re-admit); during an attempt it is moved to its persistent worker thread
-/// (or run inline on the merger thread) and logs into its in-memory window
-/// chunk — the whole window log comes back with the shard.
+/// windows: between attempts the merger owns it (rollback, re-admit);
+/// during an attempt it is moved to its persistent worker thread (or run
+/// inline on the merger thread) and logs into its in-memory window chunk —
+/// the whole window log comes back with the shard, and the merger swaps it
+/// out for verification.
 struct SpecShard {
     shard: usize,
     num_shards: usize,
@@ -739,8 +757,22 @@ impl SpecShard {
         }
     }
 
-    /// Discards the current attempt: restores the pre-window checkpoint and
-    /// clears the window log.
+    /// Does this shard take part in `attempt` — an arrival of the window
+    /// was speculated onto it, or it has backlog before the boundary (and
+    /// the deadline)? Records the answer in [`SpecShard::active`].
+    fn takes_part(&mut self, ctx: WindowCtx<'_>, attempt: Attempt<'_>) -> bool {
+        let has_arrival = attempt.window.iter().any(|&idx| {
+            ctx.targets[idx as usize].load(Relaxed) as usize % self.num_shards == self.shard
+        });
+        let has_backlog = self.queue.peek().is_some_and(|head| {
+            attempt.boundary.is_none_or(|b| head < b) && ctx.deadline.is_none_or(|d| head.0 <= d)
+        });
+        self.active = has_arrival || has_backlog;
+        self.active
+    }
+
+    /// Discards the current attempt: restores the pre-window checkpoint (the
+    /// window log was already taken by the merger).
     fn rollback(&mut self) {
         let snap = self
             .snapshot
@@ -750,7 +782,6 @@ impl SpecShard {
         self.replicas = snap.replicas;
         self.queue = snap.queue;
         self.processed = snap.processed;
-        self.sink.chunk.reset();
     }
 }
 
@@ -760,17 +791,26 @@ impl SpecShard {
 type Returned = std::thread::Result<SpecShard>;
 
 /// The runner's persistent shard workers: spawned once per run, waiting on
-/// their job channel between attempts. With `t` threads — the merger plus
-/// `t - 1` workers, at most one per core — shard `s` always runs on thread
-/// `s % t`, thread 0 being the merger itself. Each shard's state stays warm
-/// in one thread's cache, more shards than cores never oversubscribe the
-/// host, and an attempt costs a channel hand-off per active shard off the
-/// merger thread instead of an OS thread spawn per shard.
+/// their job channel between attempts. With `t` threads, shard `s` always
+/// runs on thread `s % t`. Each shard's state stays warm in one thread's
+/// cache, more shards than cores never add threads, and an attempt costs a
+/// channel hand-off per active shard instead of an OS thread spawn per
+/// shard.
+///
+/// With `inline` set, thread 0 is the merger itself, which runs its shards
+/// during [`ShardPool::dispatch`]; the stateful loop uses this, since its
+/// merger has nothing to do until the attempt is back. The pipelined loop
+/// leaves every shard to the workers and verifies the previous window
+/// meanwhile.
 struct ShardPool<'a> {
     jobs: Vec<Sender<(SpecShard, Attempt<'a>)>>,
     done: Receiver<Returned>,
-    /// The shard list from the previous attempt, kept for its allocation.
-    spare: Vec<SpecShard>,
+    inline: bool,
+    /// Shards handed to workers and not yet collected.
+    sent: usize,
+    /// Shards that stayed on the merger thread during the attempt; between
+    /// attempts, the previous shard list kept for its allocation.
+    kept: Vec<SpecShard>,
 }
 
 impl<'a> ShardPool<'a> {
@@ -778,6 +818,7 @@ impl<'a> ShardPool<'a> {
     fn spawn<'scope>(
         scope: &'scope std::thread::Scope<'scope, '_>,
         workers: usize,
+        inline: bool,
         ctx: WindowCtx<'a>,
     ) -> Self
     where
@@ -806,39 +847,66 @@ impl<'a> ShardPool<'a> {
         ShardPool {
             jobs,
             done,
-            spare: Vec::new(),
+            inline,
+            sent: 0,
+            kept: Vec::new(),
         }
     }
 
-    /// Runs `attempt` on every active shard and returns once all are back
-    /// in `shards`, in shard order.
-    fn run(&mut self, shards: &mut Vec<SpecShard>, ctx: WindowCtx<'a>, attempt: Attempt<'a>) {
-        let threads = self.jobs.len() + 1;
-        let mut back = std::mem::take(&mut self.spare);
-        let mut sent = 0;
+    /// Hands `shard` to its worker to run `attempt`.
+    fn send(&mut self, shard: SpecShard, attempt: Attempt<'a>) {
+        let inline = self.inline as usize;
+        let thread = shard.shard % (self.jobs.len() + inline);
+        self.jobs[thread - inline]
+            .send((shard, attempt))
+            .expect("shard workers outlive the run");
+        self.sent += 1;
+    }
+
+    /// Takes the next shard a worker hands back, re-raising its panic.
+    fn recv(&mut self) -> SpecShard {
+        // A merger that runs no shard shares the cores with every worker;
+        // polling would steal cycles from the shards it waits for, so it
+        // parks at once.
+        let returned = if self.inline {
+            recv_polling(&self.done)
+        } else {
+            self.done.recv().ok()
+        };
+        self.sent -= 1;
+        match returned.expect("shard workers outlive the run") {
+            Ok(shard) => shard,
+            Err(panic) => resume_unwind(panic),
+        }
+    }
+
+    /// Starts `attempt` on every active shard, moving `shards` out: the
+    /// workers' shards run in the background, the merger's run before this
+    /// returns. [`ShardPool::collect`] brings them back.
+    fn dispatch(&mut self, shards: &mut Vec<SpecShard>, ctx: WindowCtx<'a>, attempt: Attempt<'a>) {
+        let inline = self.inline as usize;
+        let threads = self.jobs.len() + inline;
         for shard in shards.drain(..) {
-            let thread = shard.shard % threads;
-            if shard.active && thread > 0 {
-                self.jobs[thread - 1]
-                    .send((shard, attempt))
-                    .expect("shard workers outlive the run");
-                sent += 1;
+            if shard.active && shard.shard % threads >= inline {
+                self.send(shard, attempt);
             } else {
-                back.push(shard);
+                self.kept.push(shard);
             }
         }
-        for shard in back.iter_mut().filter(|s| s.active) {
+        for shard in self.kept.iter_mut().filter(|s| s.active) {
             shard.run_window(ctx, attempt);
         }
-        for _ in 0..sent {
-            match recv_polling(&self.done).expect("shard workers outlive the run") {
-                Ok(shard) => back.push(shard),
-                Err(panic) => resume_unwind(panic),
-            }
+    }
+
+    /// Waits for the dispatched attempt and puts every shard back in
+    /// `shards`, in shard order.
+    fn collect(&mut self, shards: &mut Vec<SpecShard>) {
+        while self.sent > 0 {
+            let shard = self.recv();
+            self.kept.push(shard);
         }
-        back.sort_unstable_by_key(|s| s.shard);
-        std::mem::swap(shards, &mut back);
-        self.spare = back;
+        self.kept.sort_unstable_by_key(|s| s.shard);
+        std::mem::swap(shards, &mut self.kept);
     }
 }
 
@@ -850,8 +918,8 @@ impl<'a> ShardPool<'a> {
 /// busy-spinning worker steals time from the merger it waits for. On a
 /// 2-vCPU host, `stateful_sharded` replays ran about 10% faster with the
 /// polls, and within noise of parking at once while another process
-/// pinned one core (where a pure busy-spin ran 1.7× slower). A run on one
-/// core has no workers and never gets here.
+/// pinned one core (where a pure busy-spin ran 1.7× slower). A stateful run
+/// on one core has no workers and never gets here.
 fn recv_polling<T>(rx: &Receiver<T>) -> Option<T> {
     for _ in 0..HANDOFF_POLLS {
         match rx.try_recv() {
@@ -946,14 +1014,9 @@ impl WindowGovernor {
 /// metrics instead); on `Err` a policy deferred and the caller falls back
 /// (the simulator is torn).
 ///
-/// Each window is attempted at most twice. The first attempt speculates
-/// every placement; if the verify pass finds a mismatch, the window is cut
-/// back to end *at* the mispredicted arrival and retried with that arrival
-/// forced to its verified target. The retry re-speculates the verified
-/// prefix identically, so it cannot mispredict — like a one-arrival window,
-/// whose only placement is made against the exactly-committed tier, and
-/// like every window of a stateless policy — and none of these takes a
-/// checkpoint.
+/// A stateless policy's windows cannot mispredict, so they are pipelined
+/// ([`WindowRun::run_pipelined`]); a stateful policy's are verified one at a
+/// time ([`WindowRun::run_stateful`]).
 fn run_windowed(
     config: &ClusterConfig,
     trace: &Trace,
@@ -964,110 +1027,372 @@ fn run_windowed(
     scratch: &mut ShardedScratch,
 ) -> Result<RunStats, &'static str> {
     let num_shards = shards.len();
-    let fold = shards.iter().any(|s| s.sink.fold.is_some());
-    let deadline = config.max_sim_time;
     let ShardedScratch {
         order,
         targets,
         cursors,
     } = scratch;
-    let (order, targets): (&[u32], &[AtomicU32]) = (order, targets);
     let ctx = WindowCtx {
         config,
         trace,
         targets,
-        deadline,
+        deadline: config.max_sim_time,
     };
-    let mut stats = RunStats {
-        shards: num_shards,
-        ..RunStats::default()
+    let mut run = WindowRun {
+        ctx,
+        order,
+        fold: shards.iter().any(|s| s.sink.fold.is_some()),
+        metrics,
+        tier,
+        stampers: (0..num_shards).map(|_| ShardStamper::new()).collect(),
+        counter: trace.requests.len() as u64,
+        cursors,
+        commit_order: Vec::new(),
+        stats: RunStats {
+            shards: num_shards,
+            ..RunStats::default()
+        },
     };
-    let mut stampers: Vec<ShardStamper> = (0..num_shards).map(|_| ShardStamper::new()).collect();
-    let mut counter = trace.requests.len() as u64;
-    let mut commit_order: Vec<u32> = Vec::new();
-    let mut governor = WindowGovernor::new(config.spec_window);
-
     std::thread::scope(|scope| {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut pool = ShardPool::spawn(scope, num_shards.min(cores) - 1, ctx);
-        let n = order.len();
+        let threads = num_shards.min(cores);
+        if stateful {
+            let mut pool = ShardPool::spawn(scope, threads - 1, true, ctx);
+            run.run_stateful(shards, &mut pool)?;
+        } else {
+            let mut pool = ShardPool::spawn(scope, threads, false, ctx);
+            run.run_pipelined(shards, &mut pool)?;
+        }
+        Ok(run.stats)
+    })
+}
+
+/// The merger's side of one windowed run: the verified tier, stampers and
+/// seq counter, the commit target, and the verify/commit cursors.
+struct WindowRun<'a> {
+    ctx: WindowCtx<'a>,
+    order: &'a [u32],
+    fold: bool,
+    metrics: &'a mut MetricsCollector,
+    tier: &'a mut RoutingTier,
+    stampers: Vec<ShardStamper>,
+    counter: u64,
+    cursors: &'a mut Vec<LogCursor>,
+    commit_order: Vec<u32>,
+    stats: RunStats,
+}
+
+impl<'a> WindowRun<'a> {
+    /// The attempt over `order[cursor..end]`: it ends (exclusive) at the
+    /// next window's first arrival.
+    fn attempt(&self, cursor: usize, end: usize) -> Attempt<'a> {
+        let order = self.order;
+        Attempt {
+            window: &order[cursor..end],
+            boundary: order.get(end).map(|&b| {
+                (
+                    self.ctx.trace.requests[b as usize].arrival,
+                    ShardKey::Arrival(b as u64),
+                )
+            }),
+            checkpoint: false,
+        }
+    }
+
+    /// The verify pass: walks the window `logs` (one per shard, empty for a
+    /// shard that sat the attempt out) in exact global `(time, seq)` order,
+    /// replaying every routing decision on the live tier at its exact
+    /// sequential position and applying the tier effects (`on_finished`,
+    /// `set_free_kv_blocks`) along the way.
+    ///
+    /// With `commit_now` (the replay commit of a window that cannot
+    /// mispredict), each verified entry's metric effects commit at once.
+    /// Otherwise they are untouched and `commit_order` records the shard
+    /// sequence for [`WindowRun::commit_metrics`] — the replay commit of a
+    /// window that may mispredict waits until the whole window verifies, so
+    /// a mid-window mismatch needs no collector snapshot.
+    ///
+    /// Returns `Ok(None)` when every placement matched, `Ok(Some((idx,
+    /// actual)))` at the first mismatch, or `Err` if the policy deferred.
+    fn verify(
+        &mut self,
+        logs: &[LogChunk],
+        commit_now: bool,
+    ) -> Result<Option<(u32, u32)>, &'static str> {
+        let commit_now = commit_now && !self.fold;
+        let trace = self.ctx.trace;
+        self.commit_order.clear();
+        reset_cursors(self.cursors, logs.len());
+        loop {
+            // Linear min-scan over resolved heads: shard counts are small
+            // (<= replicas), so a heap of heads would cost more than it saves.
+            let mut best: Option<(usize, (SimTime, u64))> = None;
+            for (s, chunk) in logs.iter().enumerate() {
+                let cur = &mut self.cursors[s];
+                if cur.head.is_none() && cur.entry < chunk.entries.len() {
+                    let e = chunk.entries[cur.entry];
+                    cur.head = Some((e.time, self.stampers[s].resolve(e.key)));
+                }
+                if let Some(head) = cur.head {
+                    if best.is_none_or(|(_, b)| head < b) {
+                        best = Some((s, head));
+                    }
+                }
+            }
+            let Some((s, _)) = best else {
+                return Ok(None);
+            };
+            let cur = &mut self.cursors[s];
+            cur.head = None;
+            let chunk = &logs[s];
+            let entry = chunk.entries[cur.entry];
+            cur.entry += 1;
+            self.stampers[s].claim_children(entry.n_children as u64, &mut self.counter);
+            // An arrival entry is where the sequential engine would have
+            // routed: replay the decision on the exact live view and compare.
+            if let ShardKey::Arrival(seq) = entry.key {
+                let idx = seq as u32;
+                let tr = trace.requests[idx as usize];
+                let actual = self
+                    .tier
+                    .route(RouteRequest {
+                        key: seq,
+                        tenant: tr.tenant,
+                        priority: tr.priority,
+                        tokens: tr.prefill_tokens + tr.decode_tokens,
+                    })
+                    .ok_or(DEFER_ABORT)?;
+                if actual as u32 != self.ctx.targets[idx as usize].load(Relaxed) {
+                    return Ok(Some((idx, actual as u32)));
+                }
+            }
+            let mut event = cur.event;
+            for effect in &chunk.effects[cur.effect..cur.effect + entry.n_effects as usize] {
+                match effect {
+                    Effect::Retire { replica, n_events } => {
+                        for ev in &chunk.events[event..event + *n_events as usize] {
+                            if ev.finished {
+                                let tr = trace.requests[ev.id as usize];
+                                self.tier.on_finished(
+                                    *replica as usize,
+                                    tr.tenant,
+                                    tr.prefill_tokens + tr.decode_tokens,
+                                );
+                            }
+                        }
+                        event += *n_events as usize;
+                    }
+                    Effect::FreeKv {
+                        replica,
+                        free_blocks,
+                    } => self
+                        .tier
+                        .set_free_kv_blocks(*replica as usize, *free_blocks),
+                    _ => {}
+                }
+            }
+            if commit_now {
+                replay_entry(chunk, cur, entry, self.metrics);
+            } else {
+                cur.effect += entry.n_effects as usize;
+                cur.event = event;
+                self.commit_order.push(s as u32);
+            }
+        }
+    }
+
+    /// The deferred replay commit: replays a verified window's *metric*
+    /// effects into the collector, following the shard sequence the verify
+    /// pass recorded — the collector receives the byte-identical call
+    /// sequence of a sequential run.
+    fn commit_metrics(&mut self, logs: &[LogChunk]) {
+        reset_cursors(self.cursors, logs.len());
+        for &s in &self.commit_order {
+            let chunk = &logs[s as usize];
+            let cur = &mut self.cursors[s as usize];
+            let entry = chunk.entries[cur.entry];
+            cur.entry += 1;
+            replay_entry(chunk, cur, entry, self.metrics);
+        }
+    }
+
+    /// Counts a committed window's logs in [`RunStats::streamed_effects`]:
+    /// every effect the merger consumed — metric and tier effects under the
+    /// replay commit, only the tier effects under the fold commit.
+    fn count_streamed(&mut self, logs: &[LogChunk]) {
+        let logged: u64 = logs.iter().map(|l| l.effects.len() as u64).sum();
+        self.stats.streamed_effects += logged;
+    }
+
+    /// The stateless loop. Placements are a function of the policy's own
+    /// state, so windows are speculated in order against a persistent copy
+    /// of the tier, ahead of verification, and the shards do not wait for
+    /// each other: each runs window after window on its worker while the
+    /// merger verifies and commits the oldest window every shard has
+    /// finished. A ring of [`PIPELINE_DEPTH`] logs per shard bounds how far
+    /// a shard runs ahead. Window sizes double from one arrival up to
+    /// [`PIPELINE_WINDOW`] (or stay at a pinned
+    /// [`ClusterConfig::spec_window`]).
+    /// Verify still replays every route on the real tier, so an impossible
+    /// mismatch trips an assertion rather than diverging silently. Nothing
+    /// checkpoints.
+    fn run_pipelined(
+        &mut self,
+        shards: &mut Vec<SpecShard>,
+        pool: &mut ShardPool<'a>,
+    ) -> Result<(), &'static str> {
+        let (order, ctx) = (self.order, self.ctx);
+        let k = shards.len();
+        let mut spec_tier = self.tier.clone();
+        let mut size = ctx.config.spec_window.unwrap_or(1).max(1);
+        // Speculated windows as `order` ranges, and the arrivals they cover.
+        let mut windows: Vec<(usize, usize)> = Vec::new();
+        let mut speculated = 0;
+        let mut verified = 0;
+        // Window `w`'s log for shard `s` lives in `ring[w % PIPELINE_DEPTH][s]`.
+        let mut ring: Vec<Vec<LogChunk>> = (0..PIPELINE_DEPTH)
+            .map(|_| (0..k).map(|_| LogChunk::default()).collect())
+            .collect();
+        // Per shard: the window it runs next, and how many windows' logs it
+        // has delivered into the ring. A shard is away on its worker while
+        // `delivered < next`.
+        let mut next = vec![0usize; k];
+        let mut delivered = vec![0usize; k];
+        let mut home: Vec<Option<SpecShard>> = shards.drain(..).map(Some).collect();
+        loop {
+            // Start every shard at home on its next window while its ring
+            // has room; a shard with nothing to do delivers an empty log.
+            for s in 0..k {
+                while home[s].is_some() && next[s] < verified + PIPELINE_DEPTH {
+                    let w = next[s];
+                    if w == windows.len() {
+                        if speculated == order.len() {
+                            break;
+                        }
+                        let end = (speculated + size).min(order.len());
+                        let window = &order[speculated..end];
+                        speculate(&mut spec_tier, ctx.trace, window, None, ctx.targets)?;
+                        windows.push((speculated, end));
+                        speculated = end;
+                        if ctx.config.spec_window.is_none() {
+                            size = (size * 2).min(PIPELINE_WINDOW);
+                        }
+                        self.stats.spec_windows += 1;
+                    }
+                    let attempt = self.attempt(windows[w].0, windows[w].1);
+                    ring[w % PIPELINE_DEPTH][s].reset();
+                    next[s] += 1;
+                    let shard = home[s].as_mut().expect("shard at home");
+                    if shard.takes_part(ctx, attempt) {
+                        pool.send(home[s].take().expect("shard at home"), attempt);
+                    } else {
+                        delivered[s] += 1;
+                    }
+                }
+            }
+            // Verify and commit the oldest window once every shard has
+            // delivered its log.
+            if verified < windows.len() && delivered.iter().all(|&d| d > verified) {
+                let logs = &ring[verified % PIPELINE_DEPTH];
+                let mismatch = self.verify(logs, true)?;
+                assert!(mismatch.is_none(), "a stateless policy mispredicted");
+                self.count_streamed(logs);
+                verified += 1;
+                continue;
+            }
+            if verified == windows.len() && speculated == order.len() {
+                break;
+            }
+            // Wait for a shard to come back with its log.
+            let mut shard = pool.recv();
+            let s = shard.shard;
+            std::mem::swap(
+                &mut shard.sink.chunk,
+                &mut ring[(next[s] - 1) % PIPELINE_DEPTH][s],
+            );
+            delivered[s] += 1;
+            home[s] = Some(shard);
+        }
+        shards.extend(home.into_iter().map(|s| s.expect("every shard home")));
+        Ok(())
+    }
+
+    /// The stateful loop: each window is speculated against a throwaway
+    /// copy of the tier as of the last exactly-committed point, simulated,
+    /// and verified before the next one starts.
+    ///
+    /// Each window is attempted at most twice. The first attempt speculates
+    /// every placement; if the verify pass finds a mismatch, the window is
+    /// cut back to end *at* the mispredicted arrival and retried with that
+    /// arrival forced to its verified target. The retry re-speculates the
+    /// verified prefix identically, so it cannot mispredict — like a
+    /// one-arrival window, whose only placement is made against the
+    /// exactly-committed tier — and neither takes a checkpoint.
+    fn run_stateful(
+        &mut self,
+        shards: &mut Vec<SpecShard>,
+        pool: &mut ShardPool<'a>,
+    ) -> Result<(), &'static str> {
+        let (order, ctx) = (self.order, self.ctx);
+        let mut governor = WindowGovernor::new(ctx.config.spec_window);
+        // The attempt's logs, swapped out of the shards when they come back.
+        let mut logs: Vec<LogChunk> = (0..shards.len()).map(|_| LogChunk::default()).collect();
         let mut cursor = 0usize;
-        while cursor < n {
-            let mut end = (cursor + governor.window()).min(n);
+        while cursor < order.len() {
+            let mut end = (cursor + governor.window()).min(order.len());
             // Corrected placement for the retry of a mispredicted window.
             let mut forced: Option<(u32, u32)> = None;
             let mut rolled_back = 0u64;
             loop {
                 let window = &order[cursor..end];
-                let boundary = order.get(end).map(|&b| {
-                    (
-                        trace.requests[b as usize].arrival,
-                        ShardKey::Arrival(b as u64),
-                    )
-                });
-                // Speculate against a throwaway copy of the tier as of the
-                // last exactly-committed point. Re-speculation after a
-                // rollback reproduces the identical unforced prefix (same
-                // tier state, same deterministic policy).
-                speculate(&mut tier.clone(), trace, window, forced, targets)?;
-                let checkpoint = stateful && window.len() > 1 && forced.is_none();
+                // Re-speculation after a rollback reproduces the identical
+                // unforced prefix (same tier state, same deterministic
+                // policy).
+                speculate(
+                    &mut self.tier.clone(),
+                    ctx.trace,
+                    window,
+                    forced,
+                    ctx.targets,
+                )?;
+                let mut attempt = self.attempt(cursor, end);
+                attempt.checkpoint = window.len() > 1 && forced.is_none();
                 for shard in shards.iter_mut() {
-                    let has_arrival = window.iter().any(|&idx| {
-                        targets[idx as usize].load(Relaxed) as usize % num_shards == shard.shard
-                    });
-                    let has_backlog = shard.queue.peek().is_some_and(|head| {
-                        boundary.is_none_or(|b| head < b) && deadline.is_none_or(|d| head.0 <= d)
-                    });
-                    shard.active = has_arrival || has_backlog;
+                    shard.takes_part(ctx, attempt);
                 }
-                stats.spec_windows += 1;
-                pool.run(
-                    shards,
-                    ctx,
-                    Attempt {
-                        window,
-                        boundary,
-                        checkpoint,
-                    },
-                );
-                let restore = checkpoint.then(|| (tier.clone(), stampers.clone(), counter));
-                commit_order.clear();
-                match verify_window(
-                    shards,
-                    &mut stampers,
-                    &mut counter,
-                    tier,
-                    trace,
-                    targets,
-                    cursors,
-                    &mut commit_order,
-                )? {
+                self.stats.spec_windows += 1;
+                pool.dispatch(shards, ctx, attempt);
+                pool.collect(shards);
+                let mut events = 0;
+                for (shard, log) in shards.iter_mut().zip(&mut logs) {
+                    log.reset();
+                    if shard.active {
+                        std::mem::swap(&mut shard.sink.chunk, log);
+                        events += log.entries.len() as u64;
+                    }
+                }
+                let restore = attempt
+                    .checkpoint
+                    .then(|| (self.tier.clone(), self.stampers.clone(), self.counter));
+                match self.verify(&logs, false)? {
                     None => {
-                        // The window is exact. Replay commit: replay its
-                        // metric effects in the verified global order. Fold
-                        // commit: the shards already applied them, and only
-                        // the tier effects verify consumed crossed over.
-                        stats.streamed_effects += if fold {
-                            let logged = shards.iter().filter(|s| s.active);
-                            logged.map(|s| s.sink.chunk.effects.len() as u64).sum()
-                        } else {
-                            commit_metrics(shards, metrics, cursors, &commit_order)
-                        };
+                        // Stateful runs always use the replay commit.
+                        self.commit_metrics(&logs);
+                        self.count_streamed(&logs);
+                        governor.record(rolled_back, events);
                         break;
                     }
                     Some((idx, actual)) => {
                         let (tier_at, stampers_at, counter_at) =
                             restore.expect("an attempt without a checkpoint cannot mispredict");
-                        stats.mispredictions += 1;
-                        for shard in shards.iter_mut() {
-                            if shard.active {
-                                rolled_back += shard.sink.chunk.entries.len() as u64;
-                                shard.rollback();
-                            }
+                        self.stats.mispredictions += 1;
+                        rolled_back += events;
+                        for shard in shards.iter_mut().filter(|s| s.active) {
+                            shard.rollback();
                         }
-                        *tier = tier_at;
-                        stampers = stampers_at;
-                        counter = counter_at;
+                        *self.tier = tier_at;
+                        self.stampers = stampers_at;
+                        self.counter = counter_at;
                         forced = Some((idx, actual));
                         let at = window
                             .iter()
@@ -1077,174 +1402,64 @@ fn run_windowed(
                     }
                 }
             }
-            stats.rollback_events += rolled_back;
-            governor.record(rolled_back, commit_order.len() as u64);
+            self.stats.rollback_events += rolled_back;
             cursor = end;
         }
-        Ok(stats)
-    })
-}
-
-/// The verify pass: walks the active shards' window logs in exact global
-/// `(time, seq)` order, replaying every routing decision on the live tier
-/// at its exact sequential position and applying the tier effects
-/// (`on_finished`, `set_free_kv_blocks`) along the way. Metric effects are
-/// untouched — under the replay commit they commit only after the whole
-/// window verifies, so a mid-window mismatch needs no collector snapshot.
-///
-/// Returns `Ok(None)` when every placement matched (with `commit_order`
-/// holding the shard sequence for the commit pass), `Ok(Some((idx,
-/// actual)))` at the first mismatch, or `Err` if the policy deferred.
-#[allow(clippy::too_many_arguments)]
-fn verify_window(
-    shards: &[SpecShard],
-    stampers: &mut [ShardStamper],
-    counter: &mut u64,
-    tier: &mut RoutingTier,
-    trace: &Trace,
-    targets: &[AtomicU32],
-    cursors: &mut Vec<LogCursor>,
-    commit_order: &mut Vec<u32>,
-) -> Result<Option<(u32, u32)>, &'static str> {
-    reset_cursors(cursors, shards.len());
-    loop {
-        // Linear min-scan over resolved heads: shard counts are small
-        // (<= replicas), so a heap of heads would cost more than it saves.
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (s, shard) in shards.iter().enumerate() {
-            if !shard.active {
-                continue;
-            }
-            let cur = &mut cursors[s];
-            if cur.head.is_none() {
-                let chunk = &shard.sink.chunk;
-                if cur.entry < chunk.entries.len() {
-                    let e = chunk.entries[cur.entry];
-                    cur.head = Some((e.time, stampers[s].resolve(e.key)));
-                }
-            }
-            if let Some(head) = cur.head {
-                if best.is_none_or(|(_, b)| head < b) {
-                    best = Some((s, head));
-                }
-            }
-        }
-        let Some((s, _)) = best else {
-            return Ok(None);
-        };
-        let cur = &mut cursors[s];
-        cur.head = None;
-        let chunk = &shards[s].sink.chunk;
-        let entry = chunk.entries[cur.entry];
-        cur.entry += 1;
-        stampers[s].claim_children(entry.n_children as u64, counter);
-        // An arrival entry is where the sequential engine would have routed:
-        // replay the decision on the exact live view and compare.
-        if let ShardKey::Arrival(seq) = entry.key {
-            let idx = seq as u32;
-            let tr = trace.requests[idx as usize];
-            let actual = tier
-                .route(RouteRequest {
-                    key: seq,
-                    tenant: tr.tenant,
-                    priority: tr.priority,
-                    tokens: tr.prefill_tokens + tr.decode_tokens,
-                })
-                .ok_or(DEFER_ABORT)?;
-            if actual as u32 != targets[idx as usize].load(Relaxed) {
-                return Ok(Some((idx, actual as u32)));
-            }
-        }
-        for effect in &chunk.effects[cur.effect..cur.effect + entry.n_effects as usize] {
-            match effect {
-                Effect::Retire { replica, n_events } => {
-                    for ev in &chunk.events[cur.event..cur.event + *n_events as usize] {
-                        if ev.finished {
-                            let tr = trace.requests[ev.id as usize];
-                            tier.on_finished(
-                                *replica as usize,
-                                tr.tenant,
-                                tr.prefill_tokens + tr.decode_tokens,
-                            );
-                        }
-                    }
-                    cur.event += *n_events as usize;
-                }
-                Effect::FreeKv {
-                    replica,
-                    free_blocks,
-                } => tier.set_free_kv_blocks(*replica as usize, *free_blocks),
-                _ => {}
-            }
-        }
-        cur.effect += entry.n_effects as usize;
-        commit_order.push(s as u32);
+        Ok(())
     }
 }
 
-/// The replay commit: replays a verified window's *metric* effects into the
-/// collector, following the shard sequence the verify pass recorded — the
-/// collector receives the byte-identical call sequence of a sequential run.
-/// Tier effects were already applied during verification and are skipped.
-/// Returns the number of effects committed.
-fn commit_metrics(
-    shards: &[SpecShard],
+/// Replays one log entry's metric effects into the collector, reading the
+/// effect, event and id streams at `cur` and advancing past them. Tier
+/// effects were already applied during verification and are skipped.
+fn replay_entry(
+    chunk: &LogChunk,
+    cur: &mut LogCursor,
+    entry: EntryRec,
     metrics: &mut MetricsCollector,
-    cursors: &mut Vec<LogCursor>,
-    commit_order: &[u32],
-) -> u64 {
-    reset_cursors(cursors, shards.len());
-    let mut committed = 0u64;
-    for &s in commit_order {
-        let chunk = &shards[s as usize].sink.chunk;
-        let cur = &mut cursors[s as usize];
-        let entry = chunk.entries[cur.entry];
-        cur.entry += 1;
-        let time = entry.time;
-        for effect in &chunk.effects[cur.effect..cur.effect + entry.n_effects as usize] {
-            match effect {
-                Effect::Arrival {
-                    id,
-                    decode_tokens,
-                    tenant,
-                } => metrics.on_arrival(*id, time, *decode_tokens, *tenant),
-                Effect::OpSecs { replica, timing } => {
-                    metrics.on_op_secs(*replica as usize, timing.op_secs())
-                }
-                Effect::GpuBusy { replica, gpu_secs } => {
-                    metrics.on_gpu_busy(*replica as usize, *gpu_secs)
-                }
-                Effect::BatchWork {
-                    replica,
-                    tokens,
-                    requests,
-                    flops,
-                    bytes,
-                    first_n,
-                } => {
-                    metrics.on_batch_work(*replica as usize, *tokens, *requests, *flops, *bytes);
-                    for &id in &chunk.ids[cur.id..cur.id + *first_n as usize] {
-                        metrics.mark_first_scheduled(id, time);
-                    }
-                    cur.id += *first_n as usize;
-                }
-                Effect::KvSample {
-                    replica,
-                    utilization,
-                } => metrics.on_kv_sample(*replica as usize, time, *utilization),
-                Effect::Retire { replica, n_events } => {
-                    metrics.on_batch_complete(
-                        *replica as usize,
-                        time,
-                        &chunk.events[cur.event..cur.event + *n_events as usize],
-                    );
-                    cur.event += *n_events as usize;
-                }
-                Effect::FreeKv { .. } => {}
+) {
+    let time = entry.time;
+    for effect in &chunk.effects[cur.effect..cur.effect + entry.n_effects as usize] {
+        match effect {
+            Effect::Arrival {
+                id,
+                decode_tokens,
+                tenant,
+            } => metrics.on_arrival(*id, time, *decode_tokens, *tenant),
+            Effect::OpSecs { replica, timing } => {
+                metrics.on_op_secs(*replica as usize, timing.op_secs())
             }
+            Effect::GpuBusy { replica, gpu_secs } => {
+                metrics.on_gpu_busy(*replica as usize, *gpu_secs)
+            }
+            Effect::BatchWork {
+                replica,
+                tokens,
+                requests,
+                flops,
+                bytes,
+                first_n,
+            } => {
+                metrics.on_batch_work(*replica as usize, *tokens, *requests, *flops, *bytes);
+                for &id in &chunk.ids[cur.id..cur.id + *first_n as usize] {
+                    metrics.mark_first_scheduled(id, time);
+                }
+                cur.id += *first_n as usize;
+            }
+            Effect::KvSample {
+                replica,
+                utilization,
+            } => metrics.on_kv_sample(*replica as usize, time, *utilization),
+            Effect::Retire { replica, n_events } => {
+                metrics.on_batch_complete(
+                    *replica as usize,
+                    time,
+                    &chunk.events[cur.event..cur.event + *n_events as usize],
+                );
+                cur.event += *n_events as usize;
+            }
+            Effect::FreeKv { .. } => {}
         }
-        cur.effect += entry.n_effects as usize;
-        committed += entry.n_effects as u64;
     }
-    committed
+    cur.effect += entry.n_effects as usize;
 }
