@@ -8,13 +8,21 @@
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// An exact quantile digest: stores every sample; reads require sorted
-/// (sealed) storage.
+/// An exact quantile digest: every sample counts, but runs of bit-identical
+/// consecutive samples are stored once as `(value, count)`; reads require
+/// sorted (sealed) storage.
 ///
-/// Vidur simulations track at most a few hundred thousand requests, so exact
-/// quantiles are affordable and avoid the sketch-accuracy caveats that would
-/// otherwise muddy fidelity comparisons. For per-token streams on very long
-/// runs, [`StreamingSummary`] provides a bounded-memory alternative.
+/// Quantiles are exact, so they avoid the sketch-accuracy caveats that
+/// would otherwise muddy fidelity comparisons. Memory and the seal sort
+/// scale with the number of runs, not samples: every decode slice of one
+/// batch records the same time-between-tokens, so a per-token TBT stream
+/// costs about one run per batch.
+///
+/// The runs are only a storage format. Every read is bit-identical to the
+/// same digest over the expanded sample sequence: `sum` adds each sample in
+/// record order, sealing stable-sorts runs (the expansion equals the
+/// stable sort of the raw samples), and `min`, `max` and `std_dev` walk the
+/// expanded order.
 ///
 /// Sorting is an explicit `&mut` operation: call [`QuantileDigest::seal`]
 /// after the last `record` and before the first `quantile` read. The dirty
@@ -38,9 +46,14 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantileDigest {
-    samples: Vec<f64>,
-    /// Whether `samples` is known to be in non-decreasing order. Skipped by
-    /// serde: a deserialized digest conservatively re-seals before reads.
+    /// Maximal runs of bit-identical consecutive samples, as `(value,
+    /// count)`, in record order (or sorted order once sealed).
+    runs: Vec<(f64, u64)>,
+    /// Total samples: the sum of the run counts.
+    len: u64,
+    /// Whether the expanded samples are known to be in non-decreasing
+    /// order. Skipped by serde: a deserialized digest conservatively
+    /// re-seals before reads.
     #[serde(skip)]
     sorted: bool,
     sum: f64,
@@ -56,7 +69,8 @@ impl QuantileDigest {
     /// Creates an empty digest.
     pub fn new() -> Self {
         QuantileDigest {
-            samples: Vec::new(),
+            runs: Vec::new(),
+            len: 0,
             sorted: true,
             sum: 0.0,
         }
@@ -69,15 +83,21 @@ impl QuantileDigest {
     /// Panics if `value` is NaN.
     pub fn record(&mut self, value: f64) {
         assert!(!value.is_nan(), "cannot record NaN sample");
-        if self.sorted {
-            if let Some(&last) = self.samples.last() {
-                if value < last {
-                    self.sorted = false;
-                }
-            }
+        if self.sorted && self.runs.last().is_some_and(|&(last, _)| value < last) {
+            self.sorted = false;
         }
-        self.samples.push(value);
+        self.push_run(value, 1);
         self.sum += value;
+    }
+
+    /// Appends `count` copies of `value`, extending the last run when the
+    /// bits match.
+    fn push_run(&mut self, value: f64, count: u64) {
+        self.len += count;
+        match self.runs.last_mut() {
+            Some(last) if last.0.to_bits() == value.to_bits() => last.1 += count,
+            _ => self.runs.push((value, count)),
+        }
     }
 
     /// Records a duration sample in seconds.
@@ -87,12 +107,12 @@ impl QuantileDigest {
 
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.len as usize
     }
 
     /// Returns `true` if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len == 0
     }
 
     /// Sum of all samples.
@@ -102,10 +122,10 @@ impl QuantileDigest {
 
     /// Arithmetic mean, or `None` if empty.
     pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             None
         } else {
-            Some(self.sum / self.samples.len() as f64)
+            Some(self.sum / self.len as f64)
         }
     }
 
@@ -114,8 +134,17 @@ impl QuantileDigest {
     /// collects). Called by the report builders before summarizing.
     pub fn seal(&mut self) {
         if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("no NaN in digest"));
+            // Stable: equal values (+0.0 and -0.0 included) keep record
+            // order, exactly as a stable sort of the raw samples would.
+            self.runs
+                .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN in digest"));
+            self.runs.dedup_by(|run, prev| {
+                let same = run.0.to_bits() == prev.0.to_bits();
+                if same {
+                    prev.1 += run.1;
+                }
+                same
+            });
             self.sorted = true;
         }
     }
@@ -134,23 +163,34 @@ impl QuantileDigest {
     /// order and the digest was not [sealed](Self::seal) since.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return None;
         }
         assert!(
             self.sorted,
             "quantile read on an unsealed digest: call seal() after recording"
         );
-        let sorted = &self.samples;
-        let n = sorted.len();
+        let n = self.len;
         if n == 1 {
-            return Some(sorted[0]);
+            return Some(self.runs[0].0);
         }
         let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
+        let lo = pos.floor() as u64;
+        let hi = pos.ceil() as u64;
         let frac = pos - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+        Some(self.nth(lo) * (1.0 - frac) + self.nth(hi) * frac)
+    }
+
+    /// The sample at position `idx` of the expanded sequence.
+    fn nth(&self, idx: u64) -> f64 {
+        let mut end = 0;
+        for &(value, count) in &self.runs {
+            end += count;
+            if idx < end {
+                return value;
+            }
+        }
+        unreachable!("sample position {idx} beyond digest length {end}")
     }
 
     /// Median (50th percentile).
@@ -160,42 +200,49 @@ impl QuantileDigest {
 
     /// Smallest sample.
     pub fn min(&self) -> Option<f64> {
-        self.samples
+        self.runs
             .iter()
-            .copied()
+            .map(|&(value, _)| value)
             .min_by(|a, b| a.partial_cmp(b).expect("no NaN"))
     }
 
     /// Largest sample.
     pub fn max(&self) -> Option<f64> {
-        self.samples
+        self.runs
             .iter()
-            .copied()
+            .map(|&(value, _)| value)
             .max_by(|a, b| a.partial_cmp(b).expect("no NaN"))
     }
 
     /// Population standard deviation, or `None` if empty.
     pub fn std_dev(&self) -> Option<f64> {
         let mean = self.mean()?;
-        let var = self.samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
-            / self.samples.len() as f64;
+        let var = self
+            .runs
+            .iter()
+            .flat_map(|&(x, count)| std::iter::repeat_n((x - mean).powi(2), count as usize))
+            .sum::<f64>()
+            / self.len as f64;
         Some(var.sqrt())
     }
 
-    /// Immutable view of the raw samples (sorted iff sealed).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
+    /// Immutable view of the stored runs as `(value, count)`, in record
+    /// order (sorted iff sealed). Adjacent runs never share bits.
+    pub fn runs(&self) -> &[(f64, u64)] {
+        &self.runs
     }
 
     /// Merges another digest into this one. Stays sealed when simple
     /// concatenation preserves order; otherwise [`seal`](Self::seal) again
     /// before reading quantiles.
     pub fn merge(&mut self, other: &QuantileDigest) {
-        let joined_in_order = match (self.samples.last(), other.samples.first()) {
-            (Some(&a), Some(&b)) => self.sorted && other.sorted && a <= b,
+        let joined_in_order = match (self.runs.last(), other.runs.first()) {
+            (Some(&(a, _)), Some(&(b, _))) => self.sorted && other.sorted && a <= b,
             _ => self.sorted && other.sorted,
         };
-        self.samples.extend_from_slice(&other.samples);
+        for &(value, count) in &other.runs {
+            self.push_run(value, count);
+        }
         self.sum += other.sum;
         self.sorted = joined_in_order;
     }
@@ -223,13 +270,16 @@ impl Extend<f64> for QuantileDigest {
 /// How a metrics collector aggregates latency distributions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum QuantileMode {
-    /// Store every sample in a [`QuantileDigest`] (the default): quantiles
-    /// are exact and reports are bit-reproducible, at O(samples) memory.
+    /// Fold samples into a run-length [`QuantileDigest`] (the default):
+    /// quantiles are exact and reports are bit-reproducible, at O(runs)
+    /// memory: one run per request for request-level latencies, about one
+    /// per batch for the per-token TBT stream.
     #[default]
     Exact,
     /// Stream samples through P² marker sketches ([`StreamingSummary`]):
     /// O(1) memory per distribution, approximate mid-quantiles, exact
-    /// count/sum/min/max. For very long runs (per-token TBT streams).
+    /// count/sum/min/max. For very long runs, where even per-request
+    /// storage is too much.
     Sketch,
     /// Fold samples into mergeable t-digests ([`crate::mergeable::TDigest`]):
     /// bounded memory, approximate mid-quantiles, exact
@@ -826,7 +876,7 @@ mod tests {
         let mut d: QuantileDigest = vec![3.0, 1.0, 2.0].into_iter().collect();
         d.seal();
         assert_eq!(d.median(), Some(2.0));
-        assert_eq!(d.samples(), &[1.0, 2.0, 3.0]);
+        assert_eq!(d.runs(), &[(1.0, 1), (2.0, 1), (3.0, 1)]);
     }
 
     #[test]
@@ -1034,7 +1084,180 @@ mod tests {
         assert_eq!(u.available(), 200.0);
     }
 
+    /// The flat storage the run-length digest replaced: one `f64` per
+    /// sample, with the same seal-state rules. Every [`QuantileDigest`]
+    /// read must match it bit for bit.
+    struct FlatDigest {
+        samples: Vec<f64>,
+        sorted: bool,
+        sum: f64,
+    }
+
+    impl FlatDigest {
+        fn new(xs: &[f64]) -> Self {
+            let mut d = FlatDigest {
+                samples: Vec::new(),
+                sorted: true,
+                sum: 0.0,
+            };
+            for &x in xs {
+                if d.samples.last().is_some_and(|&last| x < last) {
+                    d.sorted = false;
+                }
+                d.samples.push(x);
+                d.sum += x;
+            }
+            d
+        }
+
+        fn seal(&mut self) {
+            if !self.sorted {
+                self.samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                self.sorted = true;
+            }
+        }
+
+        fn merge(&mut self, other: &FlatDigest) {
+            self.sorted = match (self.samples.last(), other.samples.first()) {
+                (Some(&a), Some(&b)) => self.sorted && other.sorted && a <= b,
+                _ => self.sorted && other.sorted,
+            };
+            self.samples.extend_from_slice(&other.samples);
+            self.sum += other.sum;
+        }
+
+        fn mean(&self) -> Option<f64> {
+            let n = self.samples.len();
+            (n > 0).then(|| self.sum / n as f64)
+        }
+
+        fn min(&self) -> Option<f64> {
+            self.samples
+                .iter()
+                .copied()
+                .min_by(|a, b| a.partial_cmp(b).unwrap())
+        }
+
+        fn max(&self) -> Option<f64> {
+            self.samples
+                .iter()
+                .copied()
+                .max_by(|a, b| a.partial_cmp(b).unwrap())
+        }
+
+        fn std_dev(&self) -> Option<f64> {
+            let mean = self.mean()?;
+            let var = self.samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
+                / self.samples.len() as f64;
+            Some(var.sqrt())
+        }
+
+        fn quantile(&self, q: f64) -> Option<f64> {
+            let s = &self.samples;
+            let n = s.len();
+            match n {
+                0 => None,
+                1 => Some(s[0]),
+                _ => {
+                    let pos = q * (n - 1) as f64;
+                    let lo = pos.floor() as usize;
+                    let hi = pos.ceil() as usize;
+                    let frac = pos - lo as f64;
+                    Some(s[lo] * (1.0 - frac) + s[hi] * frac)
+                }
+            }
+        }
+    }
+
+    /// Asserts `d` reads bit-identically to `flat`; quantiles only once
+    /// both are sealed.
+    fn assert_matches_flat(d: &QuantileDigest, flat: &FlatDigest, qs: &[f64]) {
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        assert_eq!(d.len(), flat.samples.len());
+        assert_eq!(d.is_sealed(), flat.sorted);
+        assert_eq!(d.sum().to_bits(), flat.sum.to_bits());
+        assert_eq!(bits(d.mean()), bits(flat.mean()));
+        assert_eq!(bits(d.min()), bits(flat.min()));
+        assert_eq!(bits(d.max()), bits(flat.max()));
+        assert_eq!(bits(d.std_dev()), bits(flat.std_dev()));
+        let runs = d.runs();
+        assert_eq!(runs.iter().map(|r| r.1).sum::<u64>() as usize, d.len());
+        assert!(runs
+            .windows(2)
+            .all(|w| w[0].0.to_bits() != w[1].0.to_bits()));
+        assert!(runs.iter().all(|r| r.1 > 0));
+        if d.is_sealed() {
+            for &q in qs {
+                assert_eq!(bits(d.quantile(q)), bits(flat.quantile(q)), "q = {q}");
+            }
+        }
+    }
+
+    /// Values that repeat, signed zeros included, so runs form and the
+    /// stable sort has equal-but-distinct bits to order.
+    const RUN_VALUES: [f64; 6] = [0.0, -0.0, 0.25, 0.1, 3.0, 1e-3];
+
+    /// A stream of runs: each `(pick, repeat, fresh)` repeats either a
+    /// [`RUN_VALUES`] entry or a fresh value 1 to 120 times. Enough runs
+    /// that sorting them leaves the insertion-sort regime, and fresh values
+    /// rarely negative, so the signed zeros are often the minimum.
+    fn run_stream() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec((0usize..8, 1usize..120, -1f64..10.0), 0..64).prop_map(|runs| {
+            runs.into_iter()
+                .flat_map(|(pick, repeat, fresh)| {
+                    let v = RUN_VALUES.get(pick).copied().unwrap_or(fresh);
+                    std::iter::repeat_n(v, repeat)
+                })
+                .collect()
+        })
+    }
+
     proptest! {
+        #[test]
+        fn run_length_digest_matches_flat_samples(
+            a in run_stream(),
+            b in run_stream(),
+            monotone in (0u8..3),
+            seal_first in proptest::bool::ANY,
+            random_qs in proptest::collection::vec(0f64..1.0, 4..5)
+        ) {
+            let (mut a, mut b) = (a, b);
+            // 0: shuffled order; 1: `a` non-decreasing; 2: both, so the
+            // merge can stay sealed.
+            if monotone >= 1 {
+                a.sort_by(|x, y| x.partial_cmp(y).unwrap());
+            }
+            if monotone == 2 {
+                let top = a.last().copied().unwrap_or(0.0);
+                b.iter_mut().for_each(|x| *x = x.abs() + top);
+                b.sort_by(|x, y| x.partial_cmp(y).unwrap());
+            }
+            let mut qs = vec![0.0, 0.5, 0.9, 0.95, 0.99, 1.0];
+            qs.extend(random_qs);
+
+            let mut da = QuantileDigest::new();
+            da.extend(a.iter().copied());
+            let mut fa = FlatDigest::new(&a);
+            prop_assert!(monotone == 0 || da.is_sealed(), "monotone stream stays sealed");
+            assert_matches_flat(&da, &fa, &qs);
+            let mut db = QuantileDigest::new();
+            db.extend(b.iter().copied());
+            let fb = FlatDigest::new(&b);
+            assert_matches_flat(&db, &fb, &qs);
+
+            if seal_first {
+                da.seal();
+                fa.seal();
+                assert_matches_flat(&da, &fa, &qs);
+            }
+            da.merge(&db);
+            fa.merge(&fb);
+            assert_matches_flat(&da, &fa, &qs);
+            da.seal();
+            fa.seal();
+            assert_matches_flat(&da, &fa, &qs);
+        }
+
         #[test]
         fn quantiles_are_monotone(mut xs in proptest::collection::vec(-1e6f64..1e6, 2..200)) {
             let d: QuantileDigest = xs.drain(..).collect();

@@ -58,11 +58,12 @@ pub struct ClusterConfig {
     /// high-entropy runs or to benchmark the uncached path.
     pub plan_cache: bool,
     /// How the metrics collector aggregates latency distributions:
-    /// [`QuantileMode::Exact`] (the default) stores every sample so report
+    /// [`QuantileMode::Exact`] (the default) keeps every sample, the
+    /// per-token TBT stream as about one run per batch, so report
     /// quantiles are exact and bit-reproducible; [`QuantileMode::Sketch`]
     /// streams samples through P² marker sketches and retires per-request
     /// records as they complete, bounding metrics memory on very long runs
-    /// (per-token TBT streams) at the cost of approximate mid-quantiles;
+    /// at the cost of approximate mid-quantiles;
     /// [`QuantileMode::Mergeable`] folds latencies into per-replica t-digest
     /// slots so per-shard collectors merge into one report — reports are
     /// invariant under merge order (identical bytes for any shard count) but

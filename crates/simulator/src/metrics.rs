@@ -1513,6 +1513,45 @@ mod tests {
     }
 
     #[test]
+    fn tbt_digest_stores_one_run_per_batch() {
+        const BATCHES: u64 = 40;
+        const REQUESTS: u64 = 16;
+        let mut m = MetricsCollector::new(1);
+        for id in 0..REQUESTS {
+            m.on_arrival(id, t(0.0), BATCHES + 1, 0);
+        }
+        let step = |done: bool, prefill: bool| -> Vec<CompletionEvent> {
+            (0..REQUESTS)
+                .map(|id| CompletionEvent {
+                    id,
+                    prefill_completed: prefill,
+                    produced_token: true,
+                    finished: done,
+                })
+                .collect()
+        };
+        m.on_batch_complete(0, t(1.0), &step(false, true));
+        // Decode iterations of uneven length, so TBT is not monotone.
+        let mut now = 1.0;
+        for i in 0..BATCHES {
+            now += [0.03, 0.05, 0.02][i as usize % 3];
+            m.on_batch_complete(0, t(now), &step(i + 1 == BATCHES, false));
+        }
+        let StatSink::Exact(tbt) = &m.tbt else {
+            panic!("exact mode keeps an exact TBT sink");
+        };
+        assert_eq!(tbt.len() as u64, BATCHES * REQUESTS);
+        assert!(
+            tbt.runs().len() as u64 <= BATCHES,
+            "{} runs for {BATCHES} batches",
+            tbt.runs().len()
+        );
+        let r = m.into_report(1, 1e15, 1e13, 0, test_power());
+        assert_eq!(r.completed, REQUESTS as usize);
+        assert!((r.tbt.max - 0.05).abs() < 1e-9);
+    }
+
+    #[test]
     fn incomplete_requests_excluded() {
         let mut m = MetricsCollector::new(1);
         m.on_arrival(1, t(0.0), 5, 0);

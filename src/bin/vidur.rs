@@ -138,8 +138,8 @@ fn build_config(flags: &HashMap<String, String>) -> Result<ClusterConfig, String
     let model = ModelSpec::by_name(&model_name).ok_or(format!("unknown model '{model_name}'"))?;
     let sku_name: String = get(flags, "sku", "a100".to_string())?;
     let sku = GpuSku::by_name(&sku_name).ok_or(format!("unknown SKU '{sku_name}'"))?;
-    let tp: u32 = get(flags, "tp", 1)?;
-    let pp: u32 = get(flags, "pp", 1)?;
+    let tp: u32 = get_positive(flags, "tp", 1)?;
+    let pp: u32 = get_positive(flags, "pp", 1)?;
     let replicas: usize = get_positive(flags, "replicas", 1)?;
     let chunk: u64 = get_positive(flags, "chunk", 512)?;
     let scheduler_name: String = get(flags, "scheduler", "sarathi".to_string())?;
@@ -169,7 +169,7 @@ fn build_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
     let workload_name: String = get(flags, "workload", "chat-1m".to_string())?;
     let workload = TraceWorkload::by_name(&workload_name)
         .ok_or(format!("unknown workload '{workload_name}'"))?;
-    let requests: usize = get(flags, "requests", 200)?;
+    let requests: usize = get_positive(flags, "requests", 200)?;
     let qps: f64 = get(flags, "qps", 1.0)?;
     if !(qps.is_finite() && qps >= 0.0) {
         return Err(format!(
@@ -258,21 +258,35 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
     }
 }
 
+/// The model and the configurations `vidur search` evaluates; an empty
+/// space is an error, not an empty result.
+fn build_search_space(
+    flags: &HashMap<String, String>,
+) -> Result<(ModelSpec, Vec<ClusterConfig>), String> {
+    let model_name: String = get(flags, "model", "llama2-7b".to_string())?;
+    let model = ModelSpec::by_name(&model_name).ok_or(format!("unknown model '{model_name}'"))?;
+    let max_gpus: u32 = get_positive(flags, "max-gpus", 16)?;
+    let mut space = if flags.contains_key("full") {
+        SearchSpace::paper()
+    } else {
+        SearchSpace::reduced()
+    };
+    space.max_gpus = max_gpus;
+    let configs = space.enumerate(&model);
+    if configs.is_empty() {
+        return Err(format!(
+            "no configuration of {} fits within --max-gpus {max_gpus}",
+            model.name
+        ));
+    }
+    Ok((model, configs))
+}
+
 fn cmd_search(args: &[String]) -> ExitCode {
     let run = || -> Result<(), String> {
         let flags = parse_flags(args)?;
-        let model_name: String = get(&flags, "model", "llama2-7b".to_string())?;
-        let model =
-            ModelSpec::by_name(&model_name).ok_or(format!("unknown model '{model_name}'"))?;
+        let (model, configs) = build_search_space(&flags)?;
         let trace = build_trace(&flags)?;
-        let max_gpus: u32 = get(&flags, "max-gpus", 16)?;
-        let mut space = if flags.contains_key("full") {
-            SearchSpace::paper()
-        } else {
-            SearchSpace::reduced()
-        };
-        space.max_gpus = max_gpus;
-        let configs = space.enumerate(&model);
         eprintln!(
             "searching {} configurations for {} on {}...",
             configs.len(),
@@ -339,11 +353,34 @@ mod tests {
             ("batch-size", "sarathi"),
             ("batch-size", "vllm"),
             ("chunk", "sarathi"),
+            ("tp", "sarathi"),
+            ("pp", "sarathi"),
         ] {
             let err = build_config(&flags(&[(key, "0"), ("scheduler", scheduler)]))
                 .expect_err("a zero count must be rejected");
             assert_eq!(err, format!("--{key} must be at least 1"));
         }
+    }
+
+    #[test]
+    fn build_trace_rejects_zero_requests() {
+        let err = build_trace(&flags(&[("requests", "0")])).expect_err("an empty trace");
+        assert_eq!(err, "--requests must be at least 1");
+    }
+
+    #[test]
+    fn build_search_space_rejects_empty_budgets() {
+        let err = build_search_space(&flags(&[("max-gpus", "0")])).expect_err("no GPUs");
+        assert_eq!(err, "--max-gpus must be at least 1");
+        let err = build_search_space(&flags(&[("model", "llama2-70b"), ("max-gpus", "1")]))
+            .expect_err("llama2-70b does not fit on one GPU");
+        assert_eq!(
+            err,
+            "no configuration of llama2-70b fits within --max-gpus 1"
+        );
+        let (_, configs) =
+            build_search_space(&flags(&[("max-gpus", "1")])).expect("one GPU fits llama2-7b");
+        assert!(!configs.is_empty());
     }
 
     #[test]
